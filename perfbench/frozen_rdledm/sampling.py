@@ -1,0 +1,299 @@
+"""k-space sampling: undersampling masks, simulated acquisition, adjoints.
+
+Masks are uint8 stacks of shape (T, m, n) with entries in {0, 1}, stored
+in DFT order: the k-space origin sits at index (0, 0) of every frame,
+matching the layout of the unitary FFT. Patterns are drawn in centered
+coordinates (origin at (m//2, n//2)) and mapped to DFT order with an
+inverse FFT shift, so the always-on central regions really protect the
+low frequencies.
+
+Randomness is reproducible and frame-parallel: frame t of a mask or a
+noise realization depends only on (seed, t) through a dedicated PCG64
+substream, never on how many frames were drawn before it.
+
+Mask files ("MASK1") mirror the sequence format: magic b"MASK1\\n", an
+ASCII "T m n" header line, then exactly T*m*n payload bytes, each 0 or 1.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import (
+    BadMagicError,
+    DimensionError,
+    FileFormatError,
+    InfeasibleRatioError,
+    PayloadSizeError,
+)
+from .operators import dft2_adjoint, dft2_forward
+from .sequence import _parse_dims, _read_header_line, as_sequence
+
+MASK_MAGIC = b"MASK1\n"
+
+MASK_PATTERNS = ("cartesian", "radial", "random2d")
+
+# Always-on low-frequency regions, as fractions of the grid size.
+CARTESIAN_CENTER_FRACTION = 0.08
+RANDOM2D_CENTER_FRACTION = 0.04
+# Standard deviation of the Gaussian row-density profile, as a fraction of m.
+CARTESIAN_PROFILE_SIGMA = 0.15
+# Achieved radial ratios must land within this distance of the request.
+RADIAL_RATIO_TOLERANCE = 0.02
+
+
+def _frame_rng(seed: int, frame: int) -> np.random.Generator:
+    """Independent PCG64 stream for one frame of one seeded draw."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, frame))))
+
+
+def as_mask(mask) -> np.ndarray:
+    """Validate ``mask`` as a uint8 (T, m, n) stack of zeros and ones."""
+    arr = np.asarray(mask)
+    if arr.ndim != 3:
+        raise DimensionError(f"expected a (frames, rows, cols) mask, got ndim={arr.ndim}")
+    if min(arr.shape) < 1:
+        raise DimensionError(f"all mask axes must be nonempty, got shape {arr.shape}")
+    arr = arr.astype(np.uint8, copy=False)
+    if not np.isin(arr, (0, 1)).all():
+        raise DimensionError("mask entries must be 0 or 1")
+    return arr
+
+
+def achieved_ratio(mask) -> float:
+    """Fraction of sampled k-space locations over the whole stack."""
+    return float(as_mask(mask).mean())
+
+
+def _centered_band(size: int, width: int) -> np.ndarray:
+    start = size // 2 - width // 2
+    return np.arange(start, start + width)
+
+
+def _cartesian_frame(rng, rows: int, cols: int, ratio: float) -> np.ndarray:
+    wanted = int(round(ratio * rows))
+    band = _centered_band(rows, math.ceil(CARTESIAN_CENTER_FRACTION * rows))
+    if wanted < band.size:
+        raise InfeasibleRatioError(
+            f"cartesian ratio {ratio} asks for {wanted} rows but the central band "
+            f"alone has {band.size}"
+        )
+    frame = np.zeros((rows, cols), dtype=np.uint8)
+    frame[band, :] = 1
+    extra = wanted - band.size
+    if extra > 0:
+        candidates = np.setdiff1d(np.arange(rows), band)
+        sigma = CARTESIAN_PROFILE_SIGMA * rows
+        dist = candidates - rows // 2
+        weights = np.exp(-(dist.astype(float) ** 2) / (2.0 * sigma**2))
+        chosen = rng.choice(candidates, size=extra, replace=False, p=weights / weights.sum())
+        frame[chosen, :] = 1
+    return frame
+
+
+def _boundary_extent(center: float, direction: np.ndarray, upper: float) -> np.ndarray:
+    # Largest t >= 0 with 0 <= center + t*direction <= upper, per spoke.
+    with np.errstate(divide="ignore"):
+        return np.where(
+            direction > 0,
+            (upper - center) / direction,
+            np.where(direction < 0, -center / direction, np.inf),
+        )
+
+
+def _radial_frame(rows: int, cols: int, spokes: int, offset: float) -> np.ndarray:
+    angles = offset + np.pi * np.arange(spokes) / spokes
+    dy, dx = np.sin(angles), np.cos(angles)
+    cy, cx = rows // 2, cols // 2
+    t_fwd = np.minimum(_boundary_extent(cy, dy, rows - 1), _boundary_extent(cx, dx, cols - 1))
+    t_bwd = np.minimum(_boundary_extent(cy, -dy, rows - 1), _boundary_extent(cx, -dx, cols - 1))
+    r0, c0 = cy - t_bwd * dy, cx - t_bwd * dx
+    r1, c1 = cy + t_fwd * dy, cx + t_fwd * dx
+    # Sample each full-grid chord densely enough that consecutive points
+    # land on adjacent pixels; rounding then yields a connected digital
+    # line from boundary to boundary through the center.
+    u = np.linspace(0.0, 1.0, rows + cols + 1)
+    rs = np.rint(r0[:, None] + u * (r1 - r0)[:, None]).astype(np.intp)
+    cs = np.rint(c0[:, None] + u * (c1 - c0)[:, None]).astype(np.intp)
+    frame = np.zeros((rows, cols), dtype=np.uint8)
+    frame[rs.clip(0, rows - 1), cs.clip(0, cols - 1)] = 1
+    return frame
+
+
+def _radial_mask(frames: int, rows: int, cols: int, ratio: float, seed: int,
+                 static: bool) -> np.ndarray:
+    draws = 1 if static else frames
+    units = [float(_frame_rng(seed, t).random()) for t in range(draws)]
+
+    def build(spokes: int) -> np.ndarray:
+        stack = np.empty((draws, rows, cols), dtype=np.uint8)
+        for t, unit in enumerate(units):
+            # Offsets live in [0, pi/spokes): rotating further only
+            # permutes the spoke set.
+            stack[t] = _radial_frame(rows, cols, spokes, unit * np.pi / spokes)
+        return stack
+
+    cap = 4 * (rows + cols)
+    lo, hi = 1, 2
+    while hi < cap and build(hi).mean() < ratio:
+        lo, hi = hi, hi * 2
+    hi = min(hi, cap)
+    # Smallest spoke count reaching the requested ratio; its neighbor
+    # from below may land closer, so compare both.
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if build(mid).mean() < ratio:
+            lo = mid + 1
+        else:
+            hi = mid
+    best = min(
+        (s for s in (lo - 1, lo) if s >= 1),
+        key=lambda s: abs(float(build(s).mean()) - ratio),
+    )
+    stack = build(best)
+    error = abs(float(stack.mean()) - ratio)
+    if error > RADIAL_RATIO_TOLERANCE:
+        raise InfeasibleRatioError(
+            f"radial pattern cannot reach ratio {ratio} on a {rows}x{cols} grid; "
+            f"closest achievable is off by {error:.4f}"
+        )
+    if static:
+        stack = np.broadcast_to(stack[0], (frames, rows, cols)).copy()
+    return stack
+
+
+def _random2d_frame(rng, rows: int, cols: int, ratio: float) -> np.ndarray:
+    wanted = int(round(ratio * rows * cols))
+    block_r = _centered_band(rows, math.ceil(RANDOM2D_CENTER_FRACTION * rows))
+    block_c = _centered_band(cols, math.ceil(RANDOM2D_CENTER_FRACTION * cols))
+    block = block_r.size * block_c.size
+    if wanted < block:
+        raise InfeasibleRatioError(
+            f"random2d ratio {ratio} asks for {wanted} samples but the central "
+            f"block alone has {block}"
+        )
+    frame = np.zeros((rows, cols), dtype=np.uint8)
+    frame[np.ix_(block_r, block_c)] = 1
+    extra = wanted - block
+    if extra > 0:
+        candidates = np.flatnonzero(frame.ravel() == 0)
+        chosen = rng.choice(candidates, size=extra, replace=False)
+        frame.ravel()[chosen] = 1
+    return frame
+
+
+def make_mask(pattern: str, frames: int, rows: int, cols: int, ratio: float,
+              seed: int, static: bool = False) -> np.ndarray:
+    """Build a (frames, rows, cols) sampling mask in DFT order.
+
+    ``pattern`` is one of ``cartesian`` (full rows: an always-on central
+    band plus rows drawn with a Gaussian density away from the center),
+    ``radial`` (equally spaced spokes through the center, count fitted
+    to the ratio, rotated per frame), or ``random2d`` (an always-on
+    central block plus uniform random samples, hitting the requested
+    count exactly). ``static=True`` repeats frame 0 instead of drawing
+    each frame independently. ``ratio`` is the target fraction of
+    sampled locations; 1.0 yields the all-ones mask for every pattern.
+    """
+    if pattern not in MASK_PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}, expected one of {MASK_PATTERNS}")
+    if frames < 1:
+        raise DimensionError(f"frames must be positive, got {frames}")
+    if rows < 2 or cols < 2:
+        raise DimensionError(f"grid must be at least 2x2, got {rows}x{cols}")
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    if ratio == 1.0:
+        return np.ones((frames, rows, cols), dtype=np.uint8)
+
+    if pattern == "radial":
+        centered = _radial_mask(frames, rows, cols, ratio, seed, static)
+    else:
+        draw = _cartesian_frame if pattern == "cartesian" else _random2d_frame
+        centered = np.empty((frames, rows, cols), dtype=np.uint8)
+        draws = 1 if static else frames
+        for t in range(draws):
+            centered[t] = draw(_frame_rng(seed, t), rows, cols, ratio)
+        if static:
+            centered[1:] = centered[0]
+    return np.fft.ifftshift(centered, axes=(1, 2))
+
+
+def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
+    """Simulate acquisition: DFT, complex Gaussian noise, then masking.
+
+    Noise with standard deviation ``sigma`` per real and imaginary part
+    is added at every k-space location before the unsampled ones are
+    zeroed, so the retained measurements are genuinely noisy.
+    ``sigma=0`` reproduces the noiseless masked spectrum exactly.
+    """
+    x = as_sequence(x)
+    mask = as_mask(mask)
+    if x.shape != mask.shape:
+        raise DimensionError(f"sequence shape {x.shape} != mask shape {mask.shape}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    k = dft2_forward(x)
+    if sigma > 0:
+        shape = x.shape[1:]
+        for t in range(x.shape[0]):
+            rng = _frame_rng(seed, t)
+            k[t] += sigma * rng.standard_normal(shape) + 1j * sigma * rng.standard_normal(shape)
+    k *= mask
+    return k
+
+
+def forward_op(x, mask) -> np.ndarray:
+    """Masked unitary DFT: the acquisition operator without noise."""
+    x = as_sequence(x)
+    mask = as_mask(mask)
+    if x.shape != mask.shape:
+        raise DimensionError(f"sequence shape {x.shape} != mask shape {mask.shape}")
+    return dft2_forward(x) * mask
+
+
+def adjoint_op(b, mask) -> np.ndarray:
+    """Adjoint of :func:`forward_op`: re-mask, then inverse DFT."""
+    b = as_sequence(b)
+    mask = as_mask(mask)
+    if b.shape != mask.shape:
+        raise DimensionError(f"data shape {b.shape} != mask shape {mask.shape}")
+    return dft2_adjoint(b * mask)
+
+
+def zero_fill(b, mask) -> np.ndarray:
+    """Zero-filling reconstruction: the adjoint applied to the data."""
+    return adjoint_op(b, mask)
+
+
+def write_mask(mask, path) -> None:
+    """Write a mask to ``path`` in the MASK1 format."""
+    mask = as_mask(mask)
+    frames, rows, cols = mask.shape
+    with open(path, "wb") as handle:
+        handle.write(MASK_MAGIC)
+        handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
+        handle.write(mask.tobytes())
+
+
+def read_mask(path) -> np.ndarray:
+    """Read a MASK1 file, validating magic, header, payload size, values."""
+    with open(path, "rb") as handle:
+        magic = handle.read(len(MASK_MAGIC))
+        if magic != MASK_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MASK_MAGIC!r}")
+        frames, rows, cols = _parse_dims(_read_header_line(handle, path), path)
+        expected = frames * rows * cols
+        payload = handle.read(expected + 1)
+    if len(payload) < expected:
+        raise PayloadSizeError(
+            f"{path}: payload truncated, expected {expected} bytes, got {len(payload)}"
+        )
+    if len(payload) > expected:
+        raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
+    flat = np.frombuffer(payload, dtype=np.uint8)
+    if not np.isin(flat, (0, 1)).all():
+        raise FileFormatError(f"{path}: payload bytes must all be 0 or 1")
+    return flat.reshape(frames, rows, cols).copy()

@@ -1,0 +1,153 @@
+"""Dynamic image stacks: validation, norms, Casorati reshaping, file I/O.
+
+A dynamic sequence is a complex128 ndarray of shape (T, m, n): T frames
+of m x n images, row-major within each frame. Every public function
+validates its input and treats it as read-only.
+
+On-disk format ("DSEQ1"):
+
+    bytes 0..5    magic b"DSEQ1\\n"
+    next line     ASCII header b"T m n\\n", three positive decimals
+    payload       T*m*n little-endian float64 (real, imag) pairs,
+                  frame-major then row-major: exactly 16*T*m*n bytes
+
+The reader is strict: wrong magic, malformed header, and wrong payload
+size are three distinct errors and no partial data is ever returned.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import BadMagicError, DimensionError, HeaderError, PayloadSizeError
+
+SEQUENCE_MAGIC = b"DSEQ1\n"
+
+_PAIR_DTYPE = np.dtype("<f8")
+
+
+def as_sequence(data, copy: bool = False) -> np.ndarray:
+    """Return ``data`` as a validated complex128 array of shape (T, m, n).
+
+    No copy is made when ``data`` already is a complex128 ndarray and
+    ``copy`` is False. Raises DimensionError for wrong rank, empty axes,
+    or non-finite entries.
+    """
+    arr = np.asarray(data, dtype=np.complex128)
+    if arr.ndim != 3:
+        raise DimensionError(
+            f"expected a (frames, rows, cols) stack, got ndim={arr.ndim}"
+        )
+    if min(arr.shape) < 1:
+        raise DimensionError(f"all axes must be nonempty, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionError("sequence contains NaN or Inf entries")
+    return arr.copy() if copy else arr
+
+
+def frobenius_norm(x) -> float:
+    """Square root of the sum of squared magnitudes over the whole stack."""
+    return float(np.linalg.norm(as_sequence(x).ravel()))
+
+
+def inner_product(a, b) -> complex:
+    """Complex inner product ``sum(conj(a) * b)`` over all entries.
+
+    The first argument is conjugated, so ``inner_product(x, x)`` is real
+    and equals ``frobenius_norm(x) ** 2``.
+    """
+    a = as_sequence(a)
+    b = as_sequence(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def casorati(x) -> np.ndarray:
+    """Reshape (T, m, n) into the (m*n, T) matrix whose column t is frame t.
+
+    Each column is the row-major flattening of one frame. The result is
+    a view when possible, so it is cheap inside the solver loop.
+    """
+    x = as_sequence(x)
+    frames = x.shape[0]
+    return x.reshape(frames, -1).T
+
+
+def from_casorati(matrix, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`casorati`: back to a (T, rows, cols) stack."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.ndim != 2:
+        raise DimensionError(f"expected a 2-d matrix, got ndim={matrix.ndim}")
+    if matrix.shape[0] != rows * cols:
+        raise DimensionError(
+            f"matrix has {matrix.shape[0]} rows, expected rows*cols={rows * cols}"
+        )
+    return as_sequence(matrix.T.reshape(matrix.shape[1], rows, cols))
+
+
+def _read_header_line(handle, path) -> bytes:
+    # Read up to a newline without consuming payload bytes; the header
+    # is short, so a byte-at-a-time loop is fine and keeps the file
+    # position exact for the binary payload that follows.
+    line = bytearray()
+    while True:
+        ch = handle.read(1)
+        if not ch:
+            raise HeaderError(f"{path}: unexpected end of file inside the header")
+        line += ch
+        if ch == b"\n":
+            return bytes(line)
+        if len(line) > 128:
+            raise HeaderError(f"{path}: header line longer than 128 bytes")
+
+
+def _parse_dims(line: bytes, path) -> tuple[int, int, int]:
+    try:
+        fields = line.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise HeaderError(f"{path}: header is not ASCII") from exc
+    if len(fields) != 3:
+        raise HeaderError(
+            f"{path}: header must hold exactly three integers, got {fields!r}"
+        )
+    try:
+        frames, rows, cols = (int(f) for f in fields)
+    except ValueError as exc:
+        raise HeaderError(f"{path}: non-integer dimension in header: {fields!r}") from exc
+    if frames < 1 or rows < 1 or cols < 1:
+        raise HeaderError(f"{path}: dimensions must be positive, got {frames} {rows} {cols}")
+    return frames, rows, cols
+
+
+def write_sequence(x, path) -> None:
+    """Write a sequence to ``path`` in the DSEQ1 format."""
+    x = as_sequence(x)
+    frames, rows, cols = x.shape
+    interleaved = np.empty((x.size, 2), dtype=_PAIR_DTYPE)
+    interleaved[:, 0] = x.real.ravel()
+    interleaved[:, 1] = x.imag.ravel()
+    with open(path, "wb") as handle:
+        handle.write(SEQUENCE_MAGIC)
+        handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
+        handle.write(interleaved.tobytes())
+
+
+def read_sequence(path) -> np.ndarray:
+    """Read a DSEQ1 file, validating magic, header, and payload size."""
+    with open(path, "rb") as handle:
+        magic = handle.read(len(SEQUENCE_MAGIC))
+        if magic != SEQUENCE_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {SEQUENCE_MAGIC!r}")
+        frames, rows, cols = _parse_dims(_read_header_line(handle, path), path)
+        expected = 16 * frames * rows * cols
+        payload = handle.read(expected + 1)
+    if len(payload) < expected:
+        raise PayloadSizeError(
+            f"{path}: payload truncated, expected {expected} bytes, got {len(payload)}"
+        )
+    if len(payload) > expected:
+        raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
+    pairs = np.frombuffer(payload, dtype=_PAIR_DTYPE).reshape(-1, 2)
+    data = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(frames, rows, cols)
+    return as_sequence(data)
