@@ -225,7 +225,7 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
 
     artifacts = ["truth.dseq", "mask.mask", "kspace.dseq", "recon.dseq"]
     results: dict = {"method": config.method}
-    observed: list[tuple[int, float, float | None, float | None]] = []
+    report = None
 
     solve_started = time.perf_counter()
     if config.method == "zerofill":
@@ -233,8 +233,7 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
         results["iterations"] = 0
     else:
         solve = rdledm_solve if config.method == "rdledm" else baseline_tvnn_solve
-        report = solve(data, mask, config.solver, reference=truth,
-                       on_iteration=lambda n, re, p, r: observed.append((n, re, p, r)))
+        report = solve(data, mask, config.solver, reference=truth)
         recon = report.reconstruction
         results["iterations"] = report.iterations
         results["terminated_by"] = report.terminated_by
@@ -245,12 +244,12 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
     results["psnr"] = psnr(truth, recon)
     results["rmse"] = rmse(truth, recon)
 
-    if config.export_series and observed:
-        indices = [float(n) for n, _, _, _ in observed]
-        columns = [MetricSeries("re", tuple(zip(indices, (re for _, re, _, _ in observed))))]
-        if all(p is not None for _, _, p, _ in observed):
-            columns.append(MetricSeries("psnr", tuple(zip(indices, (p for _, _, p, _ in observed)))))
-            columns.append(MetricSeries("rmse", tuple(zip(indices, (r for _, _, _, r in observed)))))
+    if config.export_series and report is not None:
+        indices = [float(n) for n in range(1, report.iterations + 1)]
+        columns = [MetricSeries("re", tuple(zip(indices, report.re_series)))]
+        if report.psnr_series is not None:
+            columns.append(MetricSeries("psnr", tuple(zip(indices, report.psnr_series))))
+            columns.append(MetricSeries("rmse", tuple(zip(indices, report.rmse_series))))
         with open(out_dir / "series.csv", "w", encoding="utf-8", newline="") as handle:
             handle.write(series_to_csv(*columns))
         artifacts.append("series.csv")

@@ -31,6 +31,26 @@ def _magnitude_pair(x, xhat) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(x), np.abs(xhat)
 
 
+def _psnr(ref: np.ndarray, est: np.ndarray, peak: float,
+          peak_mode: str = "refmax") -> float:
+    # Trusted kernel behind psnr: magnitude stacks of one shape and the
+    # reference peak ref.max().
+    mse = float(np.mean((ref - est) ** 2))
+    if mse == 0.0:
+        return math.inf
+    if math.isinf(mse):
+        # squared error overflowed float64: the estimate is unboundedly
+        # bad, so report the limiting value instead of a domain error
+        return -math.inf
+    if peak == 0.0:
+        raise ValueError("reference is identically zero; PSNR is undefined")
+    if peak_mode == "fixed255":
+        scale = 255.0 / peak
+        mse *= scale * scale
+        peak = 255.0
+    return 10.0 * math.log10(peak * peak / mse)
+
+
 def psnr(x, xhat, peak_mode: str = "refmax") -> float:
     """Peak signal-to-noise ratio in dB of ``xhat`` against reference ``x``.
 
@@ -41,21 +61,19 @@ def psnr(x, xhat, peak_mode: str = "refmax") -> float:
     if peak_mode not in PEAK_MODES:
         raise ValueError(f"peak_mode must be one of {PEAK_MODES}, got {peak_mode!r}")
     ref, est = _magnitude_pair(x, xhat)
-    mse = float(np.mean((ref - est) ** 2))
-    if mse == 0.0:
-        return math.inf
-    if math.isinf(mse):
-        # squared error overflowed float64: the estimate is unboundedly
-        # bad, so report the limiting value instead of a domain error
-        return -math.inf
-    peak = float(ref.max())
-    if peak == 0.0:
-        raise ValueError("reference is identically zero; PSNR is undefined")
-    if peak_mode == "fixed255":
-        scale = 255.0 / peak
-        mse *= scale * scale
-        peak = 255.0
-    return 10.0 * math.log10(peak * peak / mse)
+    return _psnr(ref, est, float(ref.max()), peak_mode)
+
+
+def _rmse(ref: np.ndarray, est: np.ndarray, peak: float,
+          frame_averaged: bool = True) -> float:
+    # Trusted kernel behind rmse, with the same inputs as _psnr.
+    if peak > 0.0:
+        ref = ref / peak
+        est = est / peak
+    squared = (ref - est) ** 2
+    if frame_averaged:
+        return float(np.mean(np.sqrt(squared.mean(axis=(1, 2)))))
+    return float(np.sqrt(squared.mean()))
 
 
 def rmse(x, xhat, frame_averaged: bool = True) -> float:
@@ -67,14 +85,7 @@ def rmse(x, xhat, frame_averaged: bool = True) -> float:
     reference peak is 1.
     """
     ref, est = _magnitude_pair(x, xhat)
-    peak = float(ref.max())
-    if peak > 0.0:
-        ref = ref / peak
-        est = est / peak
-    squared = (ref - est) ** 2
-    if frame_averaged:
-        return float(np.mean(np.sqrt(squared.mean(axis=(1, 2)))))
-    return float(np.sqrt(squared.mean()))
+    return _rmse(ref, est, float(ref.max()), frame_averaged)
 
 
 def _valid_value(value: float) -> bool:

@@ -21,15 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionError,
-    FileFormatError,
-    InfeasibleRatioError,
-    PayloadSizeError,
-)
+from .errors import DimensionError, FileFormatError, InfeasibleRatioError
 from .operators import dft2_adjoint, dft2_forward
-from .sequence import _parse_dims, _read_header_line, as_sequence
+from .sequence import _read_payload, as_sequence
 
 MASK_MAGIC = b"MASK1\n"
 
@@ -280,20 +274,8 @@ def write_mask(mask, path) -> None:
 
 def read_mask(path) -> np.ndarray:
     """Read a MASK1 file, validating magic, header, payload size, values."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MASK_MAGIC))
-        if magic != MASK_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MASK_MAGIC!r}")
-        frames, rows, cols = _parse_dims(_read_header_line(handle, path), path)
-        expected = frames * rows * cols
-        payload = handle.read(expected + 1)
-    if len(payload) < expected:
-        raise PayloadSizeError(
-            f"{path}: payload truncated, expected {expected} bytes, got {len(payload)}"
-        )
-    if len(payload) > expected:
-        raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
+    dims, payload = _read_payload(path, MASK_MAGIC, 1)
     flat = np.frombuffer(payload, dtype=np.uint8)
     if not np.isin(flat, (0, 1)).all():
         raise FileFormatError(f"{path}: payload bytes must all be 0 or 1")
-    return flat.reshape(frames, rows, cols).copy()
+    return flat.reshape(dims).copy()

@@ -17,6 +17,8 @@ size are three distinct errors and no partial data is ever returned.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import BadMagicError, DimensionError, HeaderError, PayloadSizeError
@@ -133,21 +135,36 @@ def write_sequence(x, path) -> None:
         handle.write(interleaved.tobytes())
 
 
+def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int, int], bytes]:
+    """Read a magic + "T m n" header file; return its dims and exact payload.
+
+    Shared by the DSEQ1 and MASK1 readers. The payload size the header
+    implies is checked against the file size before anything is read, so
+    a header that claims more data than the file holds cannot make the
+    reader allocate it.
+    """
+    with open(path, "rb") as handle:
+        found = handle.read(len(magic))
+        if found != magic:
+            raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        dims = _parse_dims(_read_header_line(handle, path), path)
+        expected = entry_bytes * dims[0] * dims[1] * dims[2]
+        available = os.fstat(handle.fileno()).st_size - handle.tell()
+        if available < expected:
+            raise PayloadSizeError(
+                f"{path}: payload truncated, expected {expected} bytes, got {available}"
+            )
+        if available > expected:
+            raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
+        payload = handle.read(expected)
+    if len(payload) != expected:
+        raise PayloadSizeError(f"{path}: file shrank while its payload was read")
+    return dims, payload
+
+
 def read_sequence(path) -> np.ndarray:
     """Read a DSEQ1 file, validating magic, header, and payload size."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(SEQUENCE_MAGIC))
-        if magic != SEQUENCE_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {SEQUENCE_MAGIC!r}")
-        frames, rows, cols = _parse_dims(_read_header_line(handle, path), path)
-        expected = 16 * frames * rows * cols
-        payload = handle.read(expected + 1)
-    if len(payload) < expected:
-        raise PayloadSizeError(
-            f"{path}: payload truncated, expected {expected} bytes, got {len(payload)}"
-        )
-    if len(payload) > expected:
-        raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
+    dims, payload = _read_payload(path, SEQUENCE_MAGIC, 16)
     pairs = np.frombuffer(payload, dtype=_PAIR_DTYPE).reshape(-1, 2)
-    data = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(frames, rows, cols)
+    data = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims)
     return as_sequence(data)

@@ -23,6 +23,7 @@ is t1/(1+t1) with no operator-norm estimation.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,16 +31,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import CallbackError, DimensionError, DivergenceError
-from .metrics import psnr, rmse
+from .metrics import _psnr, _rmse
 from .operators import (
     DualField,
-    grad_adjoint,
-    grad_forward,
-    project_linf_ball,
-    svt,
+    _dft2,
+    _grad_adjoint,
+    _grad_forward,
+    _idft2,
+    _project_linf_ball,
+    _svt,
 )
-from .sampling import adjoint_op, as_mask, forward_op, zero_fill
-from .sequence import as_sequence, frobenius_norm
+from .sampling import as_mask
+from .sequence import as_sequence
 
 # Spectral norm of the measurement operator (unitary DFT composed with a
 # binary mask); exact, not estimated.
@@ -64,6 +67,9 @@ class SolverConfig:
     ``tau == 0``, freezing the error term at zero).
     ``eps_residual_order`` picks which way the x/x' residual enters the
     error update; "x-xprime" honors the decomposition x = x' + eps.
+    Weights, step sizes and ``tol_re`` must be finite (only
+    ``epsilon_threshold`` may be +inf) and ``max_iters`` an integer, so
+    the solve loop never sees a NaN step or a fractional count.
     """
 
     lambda1: float = 5e-2
@@ -78,6 +84,11 @@ class SolverConfig:
     eps_residual_order: str = "x-xprime"
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "tau", "t1", "t2", "tol_re"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.tau < 0:
@@ -128,6 +139,14 @@ class SolveReport:
     final_state: SolverState = field(repr=False, default=None)
 
 
+def _relative_error(x_next: np.ndarray, x_prev: np.ndarray) -> float:
+    denom = float(np.linalg.norm(x_prev.ravel())) ** 2
+    numer = float(np.linalg.norm((x_next - x_prev).ravel())) ** 2
+    if denom == 0.0:
+        return 0.0 if numer == 0.0 else math.inf
+    return numer / denom
+
+
 def relative_error(x_next, x_prev) -> float:
     """Squared-norm change ratio ||x_next - x_prev||^2 / ||x_prev||^2.
 
@@ -138,18 +157,30 @@ def relative_error(x_next, x_prev) -> float:
     x_prev = as_sequence(x_prev)
     if x_next.shape != x_prev.shape:
         raise DimensionError(f"shape mismatch: {x_next.shape} vs {x_prev.shape}")
-    denom = frobenius_norm(x_prev) ** 2
-    numer = frobenius_norm(x_next - x_prev) ** 2
-    if denom == 0.0:
-        return 0.0 if numer == 0.0 else math.inf
-    return numer / denom
+    return _relative_error(x_next, x_prev)
+
+
+def _finite(stack: np.ndarray, iteration: int) -> np.ndarray:
+    # Blow-ups are caught before they reach an SVT, whose kernels would
+    # otherwise fail with an unhelpful error on non-finite input.
+    if not np.isfinite(stack).all():
+        raise DivergenceError(
+            f"solver state became non-finite at iteration {iteration}",
+            iteration=iteration,
+        )
+    return stack
 
 
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
+    # Inputs are validated here, once; the loop then runs the trusted
+    # kernels behind the public operators on complex128 stacks.
     data = as_sequence(data)
     mask = as_mask(mask)
     if data.shape != mask.shape:
         raise DimensionError(f"data shape {data.shape} != mask shape {mask.shape}")
+    frames, rows, cols = data.shape
+    if rows < 2 or cols < 2:
+        raise DimensionError(f"frames must be at least 2x2 for differences, got {data.shape}")
     if reference is not None:
         reference = as_sequence(reference)
         if reference.shape != data.shape:
@@ -164,8 +195,10 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     eps_threshold = config.resolved_epsilon_threshold()
     dual_step = config.t2 * config.lambda1
 
-    frames, rows, cols = data.shape
-    init = zero_fill(data, mask)
+    # complex128 like the products with the uint8 mask it replaces, so
+    # every masked value is bit-identical to forward_op/adjoint_op.
+    sampled = mask.astype(np.complex128)
+    init = _idft2(data * sampled)
     state = SolverState(
         x=init,
         x_prime=init.copy(),
@@ -174,6 +207,9 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     )
 
     track = reference is not None and config.record_metrics
+    if track:
+        ref_magnitude = np.abs(reference)
+        ref_peak = float(ref_magnitude.max())
     re_series: list[float] = []
     psnr_series: list[float] = []
     rmse_series: list[float] = []
@@ -181,54 +217,48 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     started = time.perf_counter()
 
     for n in range(1, config.max_iters + 1):
-        transport = grad_adjoint(state.y)
+        transport = _grad_adjoint(state.y)
+        residual_k = _dft2(state.x) * sampled - data
         x_bar = (
             state.x
-            - fidelity_step * adjoint_op(forward_op(state.x, mask) - data, mask)
+            - fidelity_step * _idft2(residual_k * sampled)
             - tv_step * transport
         )
         if error_split:
             x_bar += config.tau * (state.x_prime + state.eps)
-        # Catch blow-ups before they reach the SVD, which would otherwise
-        # fail with an unhelpful kernel error on non-finite input.
-        if not np.isfinite(x_bar).all():
-            raise DivergenceError(
-                f"solver state became non-finite at iteration {n}", iteration=n
-            )
-        x_next = svt(x_bar, svt_threshold)
+        x_next = _svt(_finite(x_bar, n), svt_threshold)
         if error_split:
-            state.x_prime = svt(
-                x_next - tv_step * transport + config.tau * state.eps, svt_threshold
+            state.x_prime = _svt(
+                _finite(x_next - tv_step * transport + config.tau * state.eps, n),
+                svt_threshold,
             )
             if config.eps_residual_order == "x-xprime":
                 residual = x_next - state.x_prime
             else:
                 residual = state.x_prime - x_next
-            state.eps = svt(residual, eps_threshold)
+            state.eps = _svt(_finite(residual, n), eps_threshold)
             lookahead = 2.0 * x_next + state.x_prime - state.x
         else:
             lookahead = 2.0 * x_next - state.x
-        ascent = grad_forward(lookahead)
-        state.y = project_linf_ball(
+        ascent = _grad_forward(lookahead)
+        state.y = _project_linf_ball(
             DualField(
                 state.y.p + dual_step * ascent.p,
                 state.y.q + dual_step * ascent.q,
             )
         )
 
-        if not np.isfinite(x_next).all():
-            raise DivergenceError(
-                f"solver state became non-finite at iteration {n}", iteration=n
-            )
-        re = relative_error(x_next, state.x)
+        _finite(x_next, n)
+        re = _relative_error(x_next, state.x)
         state.x = x_next
         state.iteration = n
         re_series.append(re)
 
         psnr_value = rmse_value = None
         if track:
-            psnr_value = psnr(reference, state.x)
-            rmse_value = rmse(reference, state.x)
+            magnitude = np.abs(state.x)
+            psnr_value = _psnr(ref_magnitude, magnitude, ref_peak)
+            rmse_value = _rmse(ref_magnitude, magnitude, ref_peak)
             psnr_series.append(psnr_value)
             rmse_series.append(rmse_value)
         if on_iteration is not None:

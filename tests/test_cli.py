@@ -17,7 +17,7 @@ from rdledm.experiment import (
     write_pgm_frames,
 )
 from rdledm.sampling import read_mask
-from rdledm.sequence import read_sequence
+from rdledm.sequence import read_sequence, write_sequence
 from rdledm.solver import SolverConfig
 
 from conftest import random_sequence
@@ -321,6 +321,31 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"phantom": {}}))
         assert main(["reconstruct", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda1", float("nan")), ("lambda2", float("inf")), ("tau", float("-inf")),
+        ("t1", float("nan")), ("t2", float("inf")), ("tol_re", float("nan")),
+        ("max_iters", 2.5), ("max_iters", True),
+    ])
+    def test_bad_solver_field_exits_2(self, tmp_path, capsys, field, value):
+        # json writes NaN and Infinity literals, which its reader accepts
+        config = write_config(tmp_path, solver={field: value})
+        assert main(["reconstruct", "--config", str(config)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_huge_header_exits_4(self, tmp_path, capsys):
+        # 27 bytes whose header claims a 1.6e18-byte payload
+        huge_seq = tmp_path / "huge.dseq"
+        huge_seq.write_bytes(b"DSEQ1\n1000000 1000000 100000\n")
+        assert main(["export", "--seq", str(huge_seq), "--out-dir", str(tmp_path / "f")]) == 4
+        seq = tmp_path / "small.dseq"
+        write_sequence(np.zeros((1, 2, 2), dtype=complex), seq)
+        huge_mask = tmp_path / "huge.mask"
+        huge_mask.write_bytes(b"MASK1\n1000000 1000000 100000\n\x01")
+        assert main(["measure", "--seq", str(seq), "--mask", str(huge_mask),
+                     "--out", str(tmp_path / "k.dseq")]) == 4
+        assert capsys.readouterr().err.count("payload truncated") == 2
 
     def test_bad_ratio_list_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -169,6 +169,67 @@ class TestSvt:
             assert objective(x + delta) >= base - 1e-12
 
 
+def svd_svt(x, threshold):
+    """SVT through a full SVD of the Casorati matrix: the reference."""
+    frames = x.shape[0]
+    u, s, vh = np.linalg.svd(x.reshape(frames, -1).T, full_matrices=False)
+    return ((u * np.maximum(s - threshold, 0.0)) @ vh).T.reshape(x.shape)
+
+
+def top_singular_value(x):
+    return np.linalg.svd(x.reshape(x.shape[0], -1).T, compute_uv=False)[0]
+
+
+class TestSvtAgainstSvd:
+    # svt works on the T x T Gram matrix; these pin it to the SVD form.
+    # The tolerance is relative to the largest singular value, well above
+    # float64 rounding (~1e-16) and well below any wrong singular pair.
+
+    @pytest.mark.parametrize("frames", [1, 2, 8, 20, 60])
+    def test_matches_svd(self, rng, frames):
+        x = random_sequence(rng, frames, 9, 8)
+        s = np.linalg.svd(x.reshape(frames, -1).T, compute_uv=False)
+        threshold = 0.5 * float(np.median(s))
+        out = svt(x, threshold)
+        assert np.abs(out - svd_svt(x, threshold)).max() <= 1e-10 * s[0]
+        assert np.count_nonzero(out) > 0
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 2.0])
+    def test_rank_deficient(self, rng, threshold):
+        basis = random_sequence(rng, 2, 6, 7)
+        weights = rng.standard_normal((8, 2))
+        x = np.einsum("tk,kij->tij", weights, basis)  # rank 2, 8 frames
+        out = svt(x, threshold)
+        assert np.isfinite(out).all()
+        assert np.abs(out - svd_svt(x, threshold)).max() <= 1e-10 * top_singular_value(x)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_all_zero_stack(self, threshold):
+        x = np.zeros((4, 3, 5), dtype=complex)
+        out = svt(x, threshold)
+        assert np.array_equal(out, x)
+        assert out.shape == x.shape and out.dtype == np.complex128
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200])
+    def test_extreme_scales(self, rng, scale):
+        x = random_sequence(rng, 8, 6, 6)
+        threshold = 0.5 * float(np.median(
+            np.linalg.svd(x.reshape(8, -1).T, compute_uv=False)))
+        out = svt(scale * x, scale * threshold)
+        assert np.isfinite(out).all()
+        expected = scale * svd_svt(x, threshold)
+        assert np.abs(out - expected).max() <= 1e-10 * scale * top_singular_value(x)
+
+    @pytest.mark.parametrize("frames", [2, 3, 8])
+    def test_exactly_zero_below_frobenius_norm(self, rng, frames):
+        x = random_sequence(rng, frames, 5, 4)
+        norm = frobenius_norm(x)
+        for threshold in (norm, 1.5 * norm):
+            out = svt(x, threshold)
+            assert not np.any(out)
+            assert np.array_equal(out, svd_svt(x, threshold))
+
+
 class TestDualProjection:
     def test_small_entries_pass_through(self, rng):
         y = DualField(

@@ -260,6 +260,12 @@ class TestMaskFiles:
         with pytest.raises(PayloadSizeError):
             read_mask(path)
 
+    def test_huge_header_checked_before_reading(self, tmp_path):
+        path = tmp_path / "m.mask"
+        path.write_bytes(b"MASK1\n1000000 1000000 100000\n\x01")
+        with pytest.raises(PayloadSizeError, match="got 1"):
+            read_mask(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "m.mask"
         path.write_bytes(b"MASK1\n1 1 2\n\x00\x01\x00")

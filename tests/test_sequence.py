@@ -188,6 +188,12 @@ class TestFileFormat:
         with pytest.raises(PayloadSizeError):
             read_sequence(path)
 
+    def test_huge_header_checked_before_reading(self, tmp_path):
+        path = tmp_path / "huge.dseq"
+        path.write_bytes(b"DSEQ1\n1000000 1000000 100000\n")
+        with pytest.raises(PayloadSizeError, match="expected 1600000000000000000 bytes, got 0"):
+            read_sequence(path)
+
     def test_trailing_bytes(self, rng, tmp_path):
         x = random_sequence(rng, 1, 2, 2)
         path = tmp_path / "long.dseq"

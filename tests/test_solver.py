@@ -55,6 +55,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "tau", "t1", "t2", "tol_re"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
+    def test_rejects_non_integer_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=value)
+
+    def test_accepts_integer_max_iters_and_infinite_epsilon_threshold(self):
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+        assert SolverConfig(epsilon_threshold=math.inf).resolved_epsilon_threshold() == math.inf
+
     def test_epsilon_threshold_resolution(self):
         assert SolverConfig(tau=0.1).resolved_epsilon_threshold() == 5.0
         assert SolverConfig(tau=0.0).resolved_epsilon_threshold() == math.inf
