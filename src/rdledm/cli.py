@@ -57,7 +57,7 @@ def cmd_reconstruct(config: str) -> int:
     results = manifest["results"]
     summary = f"{results['method']}: psnr={format_float(results['psnr'])} dB, " \
               f"rmse={format_float(results['rmse'])}"
-    if "iterations" in results and results["iterations"]:
+    if results["iterations"]:
         summary += f", iterations={results['iterations']} ({results['terminated_by']})"
     print(summary)
     print(f"artifacts in {manifest['config']['output']['directory']}")
@@ -73,9 +73,7 @@ def cmd_sweep(config: str, ratios: list[float]) -> int:
     return EXIT_OK
 
 
-def cmd_export(seq: str, out_dir: str, format: str = "pgm") -> int:
-    if format != "pgm":
-        raise ValueError(f"unsupported export format {format!r}")
+def cmd_export(seq: str, out_dir: str) -> int:
     names = write_pgm_frames(read_sequence(seq), out_dir)
     print(f"wrote {len(names)} frames to {out_dir}")
     return EXIT_OK

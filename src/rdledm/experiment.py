@@ -2,19 +2,19 @@
 
 An experiment is described by one JSON document with exactly five
 sections (phantom, mask, noise, solver, output). Parsing is strict:
-unknown keys anywhere are rejected and missing required keys are
-reported by their dotted name, so a typo in a weight name cannot
-silently run with defaults.
+unknown keys anywhere are rejected, and missing required keys and values
+of the wrong JSON type are reported by their dotted name, so a typo in a
+weight name cannot silently run with defaults.
 
 A reconstruction run writes, into the output directory: the rendered
 ground truth (truth.dseq), the sampling mask (mask.mask), the simulated
 acquisition (kspace.dseq), the reconstruction (recon.dseq), optionally a
 per-iteration metric CSV (series.csv) and per-frame PGM images
 (frames/), plus manifest.json recording every resolved parameter, seeds,
-package versions, and timings. Everything except the manifest (which
-carries wall-clock timings) is bit-reproducible from the config alone,
-and the manifest embeds the full resolved config so a run can be
-replayed from it exactly.
+package versions, and timings; a run that fails writes none of them.
+Everything except the manifest (which carries wall-clock timings) is
+bit-reproducible from the config alone, and the manifest embeds the full
+resolved config so a run can be replayed from it exactly.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import csv
 import io
 import json
 import platform
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +41,33 @@ from .solver import SolverConfig, baseline_tvnn_solve, rdledm_solve
 
 SOLVER_METHODS = ("rdledm", "baseline", "zerofill")
 
-_SOLVER_FIELDS = (
-    "lambda1", "lambda2", "tau", "t1", "t2", "epsilon_threshold",
-    "max_iters", "tol_re", "record_metrics", "eps_residual_order",
+# The config schema, one row per key: (section, key, attribute, JSON
+# type, default). ``attribute`` names the ExperimentConfig field, or
+# "solver.<name>" the SolverConfig field, that holds the value; MISSING
+# marks a required key, and null is accepted only where the default is
+# null. Solver rows are typed by their defaults (epsilon_threshold, the
+# one null default, is a float).
+_FIELDS = (
+    ("phantom", "preset", "preset", str, MISSING),
+    ("phantom", "size", "size", int, MISSING),
+    ("phantom", "frames", "frames", int, None),
+    ("mask", "pattern", "mask_pattern", str, MISSING),
+    ("mask", "ratio", "mask_ratio", float, MISSING),
+    ("mask", "seed", "mask_seed", int, MISSING),
+    ("mask", "static", "static_mask", bool, False),
+    ("noise", "sigma", "noise_sigma", float, MISSING),
+    ("noise", "seed", "noise_seed", int, MISSING),
+    ("solver", "method", "method", str, MISSING),
+    *(("solver", f.name, f"solver.{f.name}",
+       float if f.default is None else type(f.default), f.default)
+      for f in fields(SolverConfig)),
+    ("output", "directory", "out_dir", str, MISSING),
+    ("output", "export_pgm", "export_pgm", bool, False),
+    ("output", "export_series", "export_series", bool, True),
 )
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _FIELDS))
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               bool: "true or false"}
 
 
 @dataclass(frozen=True)
@@ -69,79 +94,64 @@ class ExperimentConfig:
             )
 
 
-def _section(doc: dict, name: str, required: tuple[str, ...],
-             optional: dict) -> dict:
-    if name not in doc:
-        raise ConfigError(f"missing config section {name!r}")
-    raw = doc[name]
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = sorted(set(raw) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
-    missing = sorted(set(required) - set(raw))
-    if missing:
-        raise ConfigError(f"missing required key {name}.{missing[0]!r}")
-    merged = dict(optional)
-    merged.update(raw)
-    return merged
+def _typed(name: str, value, kind: type, default):
+    """``value`` checked against its row's JSON type; an int stands for a float.
+
+    A JSON number is finite: the NaN and Infinity literals that
+    ``json.load`` accepts are not numbers, and an int beyond the float
+    range has no float value. Bools are not numbers.
+    """
+    if value is None and default is None:
+        return None
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and -sys.float_info.max <= value <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
-    sections = ("phantom", "mask", "noise", "solver", "output")
-    unknown = sorted(set(doc) - set(sections))
+    unknown = sorted(set(doc) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
+    for section in _SECTIONS:
+        if section not in doc:
+            raise ConfigError(f"missing config section {section!r}")
+        if not isinstance(doc[section], dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        unknown = sorted(set(doc[section]) - {row[1] for row in _FIELDS if row[0] == section})
+        if unknown:
+            raise ConfigError(f"unknown keys in section {section!r}: {unknown}")
 
-    phantom = _section(doc, "phantom", ("preset", "size"), {"frames": None})
-    mask = _section(doc, "mask", ("pattern", "ratio", "seed"), {"static": False})
-    noise = _section(doc, "noise", ("sigma", "seed"), {})
-    solver = _section(doc, "solver", ("method",), {k: None for k in _SOLVER_FIELDS})
-    output = _section(doc, "output", ("directory",),
-                      {"export_pgm": False, "export_series": True})
-
-    overrides = {k: solver[k] for k in _SOLVER_FIELDS if solver[k] is not None}
+    values: dict = {}
+    solver: dict = {}
+    for section, key, attribute, kind, default in _FIELDS:
+        raw = doc[section]
+        if key not in raw and default is MISSING:
+            raise ConfigError(f"missing required key {section}.{key!r}")
+        owner, _, name = attribute.rpartition(".")
+        (solver if owner else values)[name] = _typed(
+            f"{section}.{key}", raw.get(key, default), kind, default
+        )
     try:
-        solver_config = SolverConfig(**overrides)
-    except (TypeError, ValueError) as exc:
+        solver_config = SolverConfig(**solver)
+    except ValueError as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-
-    return ExperimentConfig(
-        preset=phantom["preset"],
-        size=int(phantom["size"]),
-        frames=None if phantom["frames"] is None else int(phantom["frames"]),
-        mask_pattern=mask["pattern"],
-        mask_ratio=float(mask["ratio"]),
-        mask_seed=int(mask["seed"]),
-        static_mask=bool(mask["static"]),
-        noise_sigma=float(noise["sigma"]),
-        noise_seed=int(noise["seed"]),
-        method=solver["method"],
-        solver=solver_config,
-        out_dir=str(output["directory"]),
-        export_pgm=bool(output["export_pgm"]),
-        export_series=bool(output["export_series"]),
-    )
+    return ExperimentConfig(solver=solver_config, **values)
 
 
 def experiment_config_to_json(config: ExperimentConfig) -> dict:
     """Fully resolved JSON form; parsing it back reproduces the config."""
-    solver = {"method": config.method}
-    for key in _SOLVER_FIELDS:
-        solver[key] = getattr(config.solver, key)
-    return {
-        "phantom": {"preset": config.preset, "size": config.size,
-                    "frames": config.frames},
-        "mask": {"pattern": config.mask_pattern, "ratio": config.mask_ratio,
-                 "seed": config.mask_seed, "static": config.static_mask},
-        "noise": {"sigma": config.noise_sigma, "seed": config.noise_seed},
-        "solver": solver,
-        "output": {"directory": config.out_dir, "export_pgm": config.export_pgm,
-                   "export_series": config.export_series},
-    }
+    doc: dict = {section: {} for section in _SECTIONS}
+    for section, key, attribute, _, _ in _FIELDS:
+        doc[section][key] = attrgetter(attribute)(config)
+    return doc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -204,10 +214,20 @@ def _write_json(doc: dict, path) -> None:
         handle.write("\n")
 
 
+def _reconstruct(config: ExperimentConfig, data, mask, reference=None):
+    """Solve by ``config.method``: (reconstruction, SolveReport or None)."""
+    if config.method == "zerofill":
+        return zero_fill(data, mask), None
+    solve = rdledm_solve if config.method == "rdledm" else baseline_tvnn_solve
+    report = solve(data, mask, config.solver, reference=reference)
+    return report.reconstruction, report
+
+
 def run_reconstruction(config: ExperimentConfig) -> dict:
     """Execute one phantom -> mask -> measure -> solve -> export run.
 
-    Returns the manifest dict (also written to manifest.json).
+    Returns the manifest dict (also written to manifest.json). Nothing is
+    written until the solve returns, so a failed run leaves no files.
     """
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
@@ -219,28 +239,23 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
                      config.mask_ratio, config.mask_seed, static=config.static_mask)
     data = measure(truth, mask, config.noise_sigma, config.noise_seed)
 
+    solve_started = time.perf_counter()
+    recon, report = _reconstruct(config, data, mask, reference=truth)
+    solve_seconds = time.perf_counter() - solve_started
+
     write_sequence(truth, out_dir / "truth.dseq")
     write_mask(mask, out_dir / "mask.mask")
     write_sequence(data, out_dir / "kspace.dseq")
-
+    write_sequence(recon, out_dir / "recon.dseq")
     artifacts = ["truth.dseq", "mask.mask", "kspace.dseq", "recon.dseq"]
-    results: dict = {"method": config.method}
-    report = None
 
-    solve_started = time.perf_counter()
-    if config.method == "zerofill":
-        recon = zero_fill(data, mask)
+    results: dict = {"method": config.method}
+    if report is None:
         results["iterations"] = 0
     else:
-        solve = rdledm_solve if config.method == "rdledm" else baseline_tvnn_solve
-        report = solve(data, mask, config.solver, reference=truth)
-        recon = report.reconstruction
         results["iterations"] = report.iterations
         results["terminated_by"] = report.terminated_by
         results["final_re"] = report.re_series[-1]
-    solve_seconds = time.perf_counter() - solve_started
-
-    write_sequence(recon, out_dir / "recon.dseq")
     results["psnr"] = psnr(truth, recon)
     results["rmse"] = rmse(truth, recon)
 
@@ -308,11 +323,7 @@ def run_sweep(config: ExperimentConfig, ratios: list[float],
                              static=config.static_mask)
             data = measure(truth, mask, config.noise_sigma,
                            _cell_seed(config.noise_seed, p_index, r_index))
-            if config.method == "zerofill":
-                recon = zero_fill(data, mask)
-            else:
-                solve = rdledm_solve if config.method == "rdledm" else baseline_tvnn_solve
-                recon = solve(data, mask, config.solver).reconstruction
+            recon, _ = _reconstruct(config, data, mask)
             cells.append((ratio, recon, truth))
         psnr_series, rmse_series = psnr_rmse_sweep(cells)
         series[pattern] = (psnr_series, rmse_series)

@@ -227,8 +227,8 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     mask = as_mask(mask)
     if x.shape != mask.shape:
         raise DimensionError(f"sequence shape {x.shape} != mask shape {mask.shape}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     k = dft2_forward(x)
     if sigma > 0:
         shape = x.shape[1:]

@@ -48,8 +48,6 @@ from .sequence import as_sequence
 # binary mask); exact, not estimated.
 OPERATOR_NORM = 1.0
 
-EPS_RESIDUAL_ORDERS = ("x-xprime", "xprime-x")
-
 IterationCallback = Callable[[int, float, "float | None", "float | None"], None]
 
 
@@ -65,8 +63,6 @@ class SolverConfig:
     ``epsilon_threshold=None`` resolves to ``1/(2*tau)``, the exact
     proximal threshold of the error subproblem (infinite when
     ``tau == 0``, freezing the error term at zero).
-    ``eps_residual_order`` picks which way the x/x' residual enters the
-    error update; "x-xprime" honors the decomposition x = x' + eps.
     Weights, step sizes and ``tol_re`` must be finite (only
     ``epsilon_threshold`` may be +inf) and ``max_iters`` an integer, so
     the solve loop never sees a NaN step or a fractional count.
@@ -81,7 +77,6 @@ class SolverConfig:
     max_iters: int = 1000
     tol_re: float = 1e-7
     record_metrics: bool = True
-    eps_residual_order: str = "x-xprime"
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "tau", "t1", "t2", "tol_re"):
@@ -101,10 +96,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol_re > 0:
             raise ValueError("tol_re must be positive")
-        if self.eps_residual_order not in EPS_RESIDUAL_ORDERS:
-            raise ValueError(
-                f"eps_residual_order must be one of {EPS_RESIDUAL_ORDERS}"
-            )
 
     def resolved_epsilon_threshold(self) -> float:
         if self.epsilon_threshold is not None:
@@ -232,11 +223,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 _finite(x_next - tv_step * transport + config.tau * state.eps, n),
                 svt_threshold,
             )
-            if config.eps_residual_order == "x-xprime":
-                residual = x_next - state.x_prime
-            else:
-                residual = state.x_prime - x_next
-            state.eps = _svt(_finite(residual, n), eps_threshold)
+            state.eps = _svt(_finite(x_next - state.x_prime, n), eps_threshold)
             lookahead = 2.0 * x_next + state.x_prime - state.x
         else:
             lookahead = 2.0 * x_next - state.x

@@ -1,9 +1,13 @@
+import copy
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdledm.cli import main
 from rdledm.errors import ConfigError
@@ -40,6 +44,22 @@ def write_config(tmp_path, **sections):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_doc(tmp_path / "run", **sections)))
     return path
+
+
+VALID_DOC = config_doc("run")
+# every settable key, including those the document leaves at their defaults
+CONFIG_PATHS = [(section,) for section in VALID_DOC] + [
+    (section, key)
+    for section, values in experiment_config_to_json(
+        experiment_config_from_json(VALID_DOC)).items()
+    for key in values
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestConfigParsing:
@@ -105,6 +125,23 @@ class TestConfigParsing:
     def test_manifest_without_config(self):
         with pytest.raises(ConfigError):
             config_from_manifest({"results": {}})
+
+    @settings(max_examples=300)
+    @given(path=st.sampled_from(CONFIG_PATHS)
+           | st.text().map(lambda key: (key,))
+           | st.tuples(st.sampled_from(sorted(VALID_DOC)), st.text()),
+           value=JSON_VALUES)
+    def test_any_value_is_rejected_or_round_trips(self, path, value):
+        doc = copy.deepcopy(VALID_DOC)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            config = experiment_config_from_json(doc)
+        except ConfigError:
+            return
+        assert experiment_config_from_json(experiment_config_to_json(config)) == config
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +343,17 @@ class TestCliCommands:
         assert "reconstruct" in result.stdout
 
 
+BAD_FIELDS = [
+    ("solver", "lambda1", math.nan), ("solver", "lambda2", math.inf),
+    ("solver", "tau", -math.inf), ("solver", "t1", math.nan), ("solver", "t2", math.inf),
+    ("solver", "tol_re", math.nan), ("solver", "max_iters", 2.5),
+    ("solver", "max_iters", True), ("solver", "record_metrics", "no"),
+    ("mask", "static", "false"), ("mask", "seed", True), ("mask", "pattern", ["cartesian"]),
+    ("phantom", "size", 33.9), ("phantom", "preset", 3), ("noise", "sigma", math.nan),
+    ("output", "export_pgm", "no"), ("noise", "seed", None),
+]
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, tmp_path, capsys):
         assert main(["phantom", "--preset", "cine-like", "--size", "64",
@@ -322,16 +370,14 @@ class TestExitCodes:
         bad.write_text(json.dumps({"phantom": {}}))
         assert main(["reconstruct", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("field,value", [
-        ("lambda1", float("nan")), ("lambda2", float("inf")), ("tau", float("-inf")),
-        ("t1", float("nan")), ("t2", float("inf")), ("tol_re", float("nan")),
-        ("max_iters", 2.5), ("max_iters", True),
-    ])
-    def test_bad_solver_field_exits_2(self, tmp_path, capsys, field, value):
+    # ids leave the section out, so the solver cases keep their names
+    @pytest.mark.parametrize("section,key,value", BAD_FIELDS,
+                             ids=[f"{key}-{value}" for _, key, value in BAD_FIELDS])
+    def test_bad_solver_field_exits_2(self, tmp_path, capsys, section, key, value):
         # json writes NaN and Infinity literals, which its reader accepts
-        config = write_config(tmp_path, solver={field: value})
+        config = write_config(tmp_path, **{section: {key: value}})
         assert main(["reconstruct", "--config", str(config)]) == 2
-        assert field in capsys.readouterr().err
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_huge_header_exits_4(self, tmp_path, capsys):
@@ -359,6 +405,7 @@ class TestExitCodes:
         )
         assert main(["reconstruct", "--config", str(config)]) == 3
         assert "error:" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["export", "--seq", str(tmp_path / "nope.dseq"),

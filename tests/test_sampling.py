@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,10 +195,11 @@ class TestMeasurement:
         head = measure(x[:1], mask[:1], 0.2, seed=5)
         assert np.array_equal(whole[:1], head)
 
-    def test_negative_sigma_rejected(self, rng):
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_negative_sigma_rejected(self, rng, sigma):
         x = random_sequence(rng, 1, 4, 4)
         with pytest.raises(ValueError):
-            measure(x, np.ones((1, 4, 4), dtype=np.uint8), -0.1, seed=0)
+            measure(x, np.ones((1, 4, 4), dtype=np.uint8), sigma, seed=0)
 
     def test_shape_mismatch_rejected(self, rng):
         x = random_sequence(rng, 1, 4, 4)

@@ -48,7 +48,6 @@ class TestConfig:
             ("epsilon_threshold", -2.0),
             ("max_iters", 0),
             ("tol_re", 0.0),
-            ("eps_residual_order", "xprime-minus-x"),
         ],
     )
     def test_rejects_bad_values(self, field, value):
