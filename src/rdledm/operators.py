@@ -1,11 +1,14 @@
 """Linear operators and proximal maps used by the reconstruction solvers.
 
-Everything here acts on (T, m, n) complex stacks, frame by frame, and is
-a pure function. The Fourier pair is unitary, so its adjoint is its
-inverse and the data-fidelity operator has unit spectral norm. The
-finite-difference pair below satisfies the exact adjoint identity
-``<grad(x), y> == <x, grad_adjoint(y)>`` with zero boundary handling,
-which the dual update of the solver relies on.
+Everything here acts on (T, m, n) complex stacks, frame by frame. The
+public functions are pure and leave their inputs unchanged; the private
+kernels behind them may write into ``out`` buffers or update a dual
+field in place, so the solve loop reuses its memory. The Fourier pair
+is unitary, so its adjoint is its inverse and the data-fidelity
+operator has unit spectral norm. The finite-difference pair below
+satisfies the exact adjoint identity ``<grad(x), y> == <x,
+grad_adjoint(y)>`` with zero boundary handling, which the dual update
+of the solver relies on.
 """
 
 from __future__ import annotations
@@ -52,12 +55,14 @@ def _validate_dual(y: DualField) -> DualField:
     return DualField(p, q)
 
 
-def _dft2(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft2(x, axes=(-2, -1), norm="ortho")
+# fftn/ifftn rather than fft2/ifft2: both run the same per-axis
+# transforms, but NumPy 2.4's ifft2 ignores ``out`` (it passes None on).
+def _dft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.fftn(x, axes=(-2, -1), norm="ortho", out=out)
 
 
-def _idft2(k: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(k, axes=(-2, -1), norm="ortho")
+def _idft2(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.ifftn(k, axes=(-2, -1), norm="ortho", out=out)
 
 
 def dft2_forward(x) -> np.ndarray:
@@ -70,8 +75,12 @@ def dft2_adjoint(k) -> np.ndarray:
     return _idft2(as_sequence(k))
 
 
-def _grad_forward(x: np.ndarray) -> DualField:
-    return DualField(x[:, :-1, :] - x[:, 1:, :], x[:, :, :-1] - x[:, :, 1:])
+def _grad_forward(x: np.ndarray, out: DualField | None = None) -> DualField:
+    if out is None:
+        out = DualField.zeros(*x.shape)
+    np.subtract(x[:, :-1, :], x[:, 1:, :], out=out.p)
+    np.subtract(x[:, :, :-1], x[:, :, 1:], out=out.q)
+    return out
 
 
 def grad_forward(x) -> DualField:
@@ -87,10 +96,12 @@ def grad_forward(x) -> DualField:
     return _grad_forward(x)
 
 
-def _grad_adjoint(y: DualField) -> np.ndarray:
+def _grad_adjoint(y: DualField, out: np.ndarray | None = None) -> np.ndarray:
     p, q = y
     frames, rows_minus, cols = p.shape
-    out = np.zeros((frames, rows_minus + 1, cols), dtype=np.complex128)
+    if out is None:
+        out = np.empty((frames, rows_minus + 1, cols), dtype=np.complex128)
+    out.fill(0.0)
     out[:, :-1, :] += p
     out[:, 1:, :] -= p
     out[:, :, :-1] += q
@@ -170,12 +181,22 @@ def svt(x, threshold: float) -> np.ndarray:
     return _svt(as_sequence(x), threshold)
 
 
+def _shrink_to_unit_disc(z: np.ndarray) -> None:
+    # z <- z / max(1, |z|), in place. NumPy divides a complex number by a
+    # real one (read as r + 0j) by multiplying both parts with 1/r, so the
+    # real multiply on the float64 view gives the same values.
+    scale = np.abs(z)
+    np.maximum(scale, 1.0, out=scale)
+    np.divide(1.0, scale, out=scale)
+    parts = z.view(np.float64).reshape(*z.shape, 2)
+    parts *= scale[..., np.newaxis]
+
+
 def _project_linf_ball(y: DualField) -> DualField:
-    p, q = y
-    return DualField(
-        p / np.maximum(1.0, np.abs(p)),
-        q / np.maximum(1.0, np.abs(q)),
-    )
+    # In place: the dual field of the solve loop is updated where it lies.
+    _shrink_to_unit_disc(y.p)
+    _shrink_to_unit_disc(y.q)
+    return y
 
 
 def project_linf_ball(y: DualField) -> DualField:
@@ -184,4 +205,5 @@ def project_linf_ball(y: DualField) -> DualField:
     Entries with magnitude at most 1 pass through unchanged; larger
     ones are rescaled to magnitude 1, preserving the phase.
     """
-    return _project_linf_ball(_validate_dual(y))
+    p, q = _validate_dual(y)
+    return _project_linf_ball(DualField(p.copy(), q.copy()))

@@ -7,12 +7,15 @@ validates its input and treats it as read-only.
 On-disk format ("DSEQ1"):
 
     bytes 0..5    magic b"DSEQ1\\n"
-    next line     ASCII header b"T m n\\n", three positive decimals
+    next line     ASCII header b"T m n\\n": three positive decimals of
+                  ASCII digits, separated by single spaces
     payload       T*m*n little-endian float64 (real, imag) pairs,
-                  frame-major then row-major: exactly 16*T*m*n bytes
+                  frame-major then row-major: exactly 16*T*m*n bytes,
+                  every value finite
 
-The reader is strict: wrong magic, malformed header, and wrong payload
-size are three distinct errors and no partial data is ever returned.
+The reader is strict: wrong magic, malformed header, wrong payload size
+and a non-finite payload value are distinct errors, all of them
+FileFormatError, and no partial data is ever returned.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ import os
 
 import numpy as np
 
-from .errors import BadMagicError, DimensionError, HeaderError, PayloadSizeError
+from .errors import (
+    BadMagicError,
+    DimensionError,
+    FileFormatError,
+    HeaderError,
+    PayloadSizeError,
+)
 
 SEQUENCE_MAGIC = b"DSEQ1\n"
 
@@ -105,18 +114,16 @@ def _read_header_line(handle, path) -> bytes:
 
 
 def _parse_dims(line: bytes, path) -> tuple[int, int, int]:
-    try:
-        fields = line.decode("ascii").split()
-    except UnicodeDecodeError as exc:
-        raise HeaderError(f"{path}: header is not ASCII") from exc
+    # Only ASCII digits separated by single spaces: int() alone would
+    # also take "+1", "1_0" and whitespace-padded fields.
+    fields = line.removesuffix(b"\n").split(b" ")
     if len(fields) != 3:
         raise HeaderError(
-            f"{path}: header must hold exactly three integers, got {fields!r}"
+            f"{path}: header must hold exactly three integers, got {line!r}"
         )
-    try:
-        frames, rows, cols = (int(f) for f in fields)
-    except ValueError as exc:
-        raise HeaderError(f"{path}: non-integer dimension in header: {fields!r}") from exc
+    if not all(f.isdigit() for f in fields):
+        raise HeaderError(f"{path}: non-integer dimension in header: {line!r}")
+    frames, rows, cols = (int(f) for f in fields)
     if frames < 1 or rows < 1 or cols < 1:
         raise HeaderError(f"{path}: dimensions must be positive, got {frames} {rows} {cols}")
     return frames, rows, cols
@@ -163,8 +170,9 @@ def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int,
 
 
 def read_sequence(path) -> np.ndarray:
-    """Read a DSEQ1 file, validating magic, header, and payload size."""
+    """Read a DSEQ1 file, validating magic, header, payload size and values."""
     dims, payload = _read_payload(path, SEQUENCE_MAGIC, 16)
     pairs = np.frombuffer(payload, dtype=_PAIR_DTYPE).reshape(-1, 2)
-    data = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims)
-    return as_sequence(data)
+    if not np.isfinite(pairs).all():
+        raise FileFormatError(f"{path}: payload holds NaN or Inf values")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -130,12 +131,17 @@ class SolveReport:
     final_state: SolverState = field(repr=False, default=None)
 
 
-def _relative_error(x_next: np.ndarray, x_prev: np.ndarray) -> float:
-    denom = float(np.linalg.norm(x_prev.ravel())) ** 2
-    numer = float(np.linalg.norm((x_next - x_prev).ravel())) ** 2
-    if denom == 0.0:
-        return 0.0 if numer == 0.0 else math.inf
-    return numer / denom
+def _squared_norm(x: np.ndarray) -> float:
+    # ravel is contiguous, so the float64 view exists for strided input.
+    parts = x.ravel().view(np.float64)
+    return float(parts @ parts)
+
+
+def _relative_error(change_sq: float, prev_sq: float) -> float:
+    # Both arguments are squared norms: ||x_next - x_prev||^2, ||x_prev||^2.
+    if prev_sq == 0.0:
+        return 0.0 if change_sq == 0.0 else math.inf
+    return change_sq / prev_sq
 
 
 def relative_error(x_next, x_prev) -> float:
@@ -148,7 +154,7 @@ def relative_error(x_next, x_prev) -> float:
     x_prev = as_sequence(x_prev)
     if x_next.shape != x_prev.shape:
         raise DimensionError(f"shape mismatch: {x_next.shape} vs {x_prev.shape}")
-    return _relative_error(x_next, x_prev)
+    return _relative_error(_squared_norm(x_next - x_prev), _squared_norm(x_prev))
 
 
 def _finite(stack: np.ndarray, iteration: int) -> np.ndarray:
@@ -162,9 +168,68 @@ def _finite(stack: np.ndarray, iteration: int) -> np.ndarray:
     return stack
 
 
+def _worker_count(frames: int) -> int:
+    # One worker per core this process may run on (every core where the
+    # platform cannot tell), but never more workers than frames.
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, frames)
+
+
+class _FrameBlocks:
+    """Runs a frame-wise kernel on contiguous frame blocks in parallel.
+
+    The stacks passed to :meth:`run` are cut along the frame axis into
+    one block per worker; the calling thread computes the first block
+    and pool threads the rest. Each frame's result depends on that frame
+    alone, so it is bit-identical for any split. The pool lives only as
+    long as the ``with`` block of one solve.
+    """
+
+    def __init__(self, frames: int):
+        # Imported here: a process that never solves (most CLI commands)
+        # does not load the thread-pool modules, about 0.6 MB resident.
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = _worker_count(frames)
+        edges = [frames * w // workers for w in range(workers + 1)]
+        self._blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+
+    def __enter__(self) -> "_FrameBlocks":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def run(self, kernel, *stacks: np.ndarray) -> None:
+        first, *rest = self._blocks
+        jobs = [
+            self._pool.submit(kernel, *(stack[block] for stack in stacks))
+            for block in rest
+        ]
+        kernel(*(stack[first] for stack in stacks))
+        for job in jobs:
+            job.result()
+
+
+def _fidelity_gradient(x, sampled, masked_data, k, out) -> None:
+    # out <- F^H (M F x - M b) for one frame block, with k as scratch.
+    # For a 0/1 mask M this equals F^H ((M F x - b) M), the gradient of
+    # 1/2 ||A x - b||^2, whether or not b was masked.
+    _dft2(x, out=k)
+    k *= sampled
+    k -= masked_data
+    _idft2(k, out=out)
+
+
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
     # Inputs are validated here, once; the loop then runs the trusted
-    # kernels behind the public operators on complex128 stacks.
+    # kernels behind the public operators on complex128 stacks, writing
+    # into buffers allocated once per solve.
     data = as_sequence(data)
     mask = as_mask(mask)
     if data.shape != mask.shape:
@@ -189,13 +254,23 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # complex128 like the products with the uint8 mask it replaces, so
     # every masked value is bit-identical to forward_op/adjoint_op.
     sampled = mask.astype(np.complex128)
-    init = _idft2(data * sampled)
+    masked_data = data * sampled
+    init = _idft2(masked_data)
     state = SolverState(
         x=init,
         x_prime=init.copy(),
         eps=np.zeros_like(init),
         y=DualField.zeros(frames, rows, cols),
     )
+    # Reused every iteration: scratch (k-space inside the FFT pair, then
+    # any temporary), the primal point being built (x_bar, then the
+    # lookahead), the scaled transport tv_step * grad_adjoint(y) and the
+    # dual ascent.
+    scratch = np.empty_like(init)
+    x_bar = np.empty_like(init)
+    transport = np.empty_like(init)
+    ascent = DualField.zeros(frames, rows, cols)
+    x_norm_sq = _squared_norm(state.x)
 
     track = reference is not None and config.record_metrics
     if track:
@@ -207,57 +282,66 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     terminated_by = "max-iters"
     started = time.perf_counter()
 
-    for n in range(1, config.max_iters + 1):
-        transport = _grad_adjoint(state.y)
-        residual_k = _dft2(state.x) * sampled - data
-        x_bar = (
-            state.x
-            - fidelity_step * _idft2(residual_k * sampled)
-            - tv_step * transport
-        )
-        if error_split:
-            x_bar += config.tau * (state.x_prime + state.eps)
-        x_next = _svt(_finite(x_bar, n), svt_threshold)
-        if error_split:
-            state.x_prime = _svt(
-                _finite(x_next - tv_step * transport + config.tau * state.eps, n),
-                svt_threshold,
-            )
-            state.eps = _svt(_finite(x_next - state.x_prime, n), eps_threshold)
-            lookahead = 2.0 * x_next + state.x_prime - state.x
-        else:
-            lookahead = 2.0 * x_next - state.x
-        ascent = _grad_forward(lookahead)
-        state.y = _project_linf_ball(
-            DualField(
-                state.y.p + dual_step * ascent.p,
-                state.y.q + dual_step * ascent.q,
-            )
-        )
+    with _FrameBlocks(frames) as blocks:
+        for n in range(1, config.max_iters + 1):
+            _grad_adjoint(state.y, out=transport)
+            transport *= tv_step
+            # x_bar = x - fidelity_step * gradient - tv_step * transport,
+            # evaluated in that order.
+            blocks.run(_fidelity_gradient, state.x, sampled, masked_data, scratch, x_bar)
+            x_bar *= fidelity_step
+            np.subtract(state.x, x_bar, out=x_bar)
+            x_bar -= transport
+            if error_split:
+                np.add(state.x_prime, state.eps, out=scratch)
+                scratch *= config.tau
+                x_bar += scratch
+            x_next = _svt(_finite(x_bar, n), svt_threshold)
+            # x_bar is free again: it holds the next SVT inputs and then
+            # the lookahead 2 x_next (+ x') - x.
+            if error_split:
+                np.subtract(x_next, transport, out=x_bar)
+                np.multiply(state.eps, config.tau, out=scratch)
+                x_bar += scratch
+                state.x_prime = _svt(_finite(x_bar, n), svt_threshold)
+                np.subtract(x_next, state.x_prime, out=x_bar)
+                state.eps = _svt(_finite(x_bar, n), eps_threshold)
+                np.multiply(x_next, 2.0, out=x_bar)
+                x_bar += state.x_prime
+            else:
+                np.multiply(x_next, 2.0, out=x_bar)
+            x_bar -= state.x
+            _grad_forward(x_bar, out=ascent)
+            for y_part, ascent_part in zip(state.y, ascent):
+                ascent_part *= dual_step
+                y_part += ascent_part
+            _project_linf_ball(state.y)
 
-        _finite(x_next, n)
-        re = _relative_error(x_next, state.x)
-        state.x = x_next
-        state.iteration = n
-        re_series.append(re)
+            _finite(x_next, n)
+            np.subtract(x_next, state.x, out=scratch)
+            re = _relative_error(_squared_norm(scratch), x_norm_sq)
+            state.x = x_next
+            x_norm_sq = _squared_norm(x_next)
+            state.iteration = n
+            re_series.append(re)
 
-        psnr_value = rmse_value = None
-        if track:
-            magnitude = np.abs(state.x)
-            psnr_value = _psnr(ref_magnitude, magnitude, ref_peak)
-            rmse_value = _rmse(ref_magnitude, magnitude, ref_peak)
-            psnr_series.append(psnr_value)
-            rmse_series.append(rmse_value)
-        if on_iteration is not None:
-            try:
-                on_iteration(n, re, psnr_value, rmse_value)
-            except Exception as exc:
-                raise CallbackError(
-                    f"iteration callback raised at iteration {n}", iteration=n
-                ) from exc
-        if re < config.tol_re:
-            terminated_by = "tolerance"
-            break
+            psnr_value = rmse_value = None
+            if track:
+                magnitude = np.abs(state.x)
+                psnr_value = _psnr(ref_magnitude, magnitude, ref_peak)
+                rmse_value = _rmse(ref_magnitude, magnitude, ref_peak)
+                psnr_series.append(psnr_value)
+                rmse_series.append(rmse_value)
+            if on_iteration is not None:
+                try:
+                    on_iteration(n, re, psnr_value, rmse_value)
+                except Exception as exc:
+                    raise CallbackError(
+                        f"iteration callback raised at iteration {n}", iteration=n
+                    ) from exc
+            if re < config.tol_re:
+                terminated_by = "tolerance"
+                break
 
     return SolveReport(
         reconstruction=state.x,

@@ -419,6 +419,19 @@ class TestExitCodes:
         truncated.write_bytes(b"DSEQ1\n1 2 2\n" + b"\0" * 16)
         assert main(["export", "--seq", str(truncated), "--out-dir", str(tmp_path)]) == 4
 
+    def test_non_finite_payload_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "nan.dseq"
+        bad.write_bytes(b"DSEQ1\n1 1 1\n" + np.array([np.nan, 0.0], "<f8").tobytes())
+        assert main(["export", "--seq", str(bad), "--out-dir", str(tmp_path / "f")]) == 4
+        assert "NaN or Inf" in capsys.readouterr().err
+
+    def test_underscore_header_exits_4(self, tmp_path, capsys):
+        # int() would read "1_0" as 10 frames
+        bad = tmp_path / "underscore.dseq"
+        bad.write_bytes(b"DSEQ1\n1_0 1 1\n" + b"\0" * 160)
+        assert main(["export", "--seq", str(bad), "--out-dir", str(tmp_path / "f")]) == 4
+        assert not (tmp_path / "f").exists()
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from rdledm.errors import DimensionError
 from rdledm.operators import (
     DualField,
+    _dft2,
+    _idft2,
     dft2_adjoint,
     dft2_forward,
     grad_adjoint,
@@ -15,6 +17,7 @@ from rdledm.operators import (
     svt,
     tv_seminorm,
 )
+from rdledm.sampling import adjoint_op, forward_op, make_mask
 from rdledm.sequence import frobenius_norm, inner_product
 
 from conftest import random_sequence
@@ -25,6 +28,21 @@ def dual_inner(a: DualField, b: DualField) -> complex:
 
 
 class TestFourier:
+    def test_buffer_kernels_match_numpy_fft(self, rng):
+        # the solve loop writes each frame block into a slice of one buffer
+        x = random_sequence(rng, 5, 12, 10)
+        forward = np.fft.fft2(x, norm="ortho")
+        inverse = np.fft.ifft2(x, norm="ortho")
+        k = np.empty_like(x)
+        back = np.empty_like(x)
+        for block in (slice(0, 2), slice(2, 5)):
+            _dft2(x[block], out=k[block])
+            _idft2(x[block], out=back[block])
+        assert np.array_equal(k, forward)
+        assert np.array_equal(back, inverse)
+        assert np.array_equal(_dft2(x), forward)
+        assert np.array_equal(_idft2(x), inverse)
+
     def test_round_trip(self, rng):
         x = random_sequence(rng, 2, 5, 7)
         assert np.allclose(dft2_adjoint(dft2_forward(x)), x, atol=1e-12)
@@ -262,3 +280,28 @@ class TestDualProjection:
         twice = project_linf_ball(out)
         assert np.allclose(twice.p, out.p, atol=1e-12)
         assert np.allclose(twice.q, out.q, atol=1e-12)
+
+
+class TestInputsUnchanged:
+    """The kernels work in place; the public operators must not."""
+
+    def test_public_operators_leave_inputs_alone(self, rng):
+        x = random_sequence(rng, 3, 6, 5, scale=4.0)
+        y = DualField(random_sequence(rng, 3, 5, 5, scale=4.0),
+                      random_sequence(rng, 3, 6, 4, scale=4.0))
+        mask = make_mask("random2d", 3, 6, 5, 0.5, seed=3)
+        kept = (x.copy(), y.p.copy(), y.q.copy(), mask.copy())
+        calls = [
+            lambda: project_linf_ball(y),
+            lambda: grad_adjoint(y),
+            lambda: grad_forward(x),
+            lambda: svt(x, 1.0),
+            lambda: dft2_forward(x),
+            lambda: dft2_adjoint(x),
+            lambda: forward_op(x, mask),
+            lambda: adjoint_op(x, mask),
+        ]
+        for call in calls:
+            call()
+            for before, after in zip(kept, (x, y.p, y.q, mask)):
+                assert np.array_equal(before, after)

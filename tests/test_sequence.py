@@ -6,8 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rdledm.errors import BadMagicError, DimensionError, HeaderError, PayloadSizeError
+from rdledm.errors import (
+    BadMagicError,
+    DimensionError,
+    FileFormatError,
+    HeaderError,
+    PayloadSizeError,
+)
+from rdledm.sampling import MASK_MAGIC, read_mask
 from rdledm.sequence import (
+    SEQUENCE_MAGIC,
     as_sequence,
     casorati,
     frobenius_norm,
@@ -166,7 +174,10 @@ class TestFileFormat:
             read_sequence(path)
 
     @pytest.mark.parametrize("header", [b"1 1\n", b"1 one 1\n", b"0 1 1\n",
-                                        b"1 1 1 1\n", b"\xff\xfe 1 1\n"])
+                                        b"1 1 1 1\n", b"\xff\xfe 1 1\n",
+                                        b"1_0 1 1\n", b"+1 1 1\n", b" 1 1 1\n",
+                                        b"1  1 1\n", b"1\t1 1\n", b"1 1 1 \n",
+                                        b"1 1 1\r\n", b"-1 1 1\n"])
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "hdr.dseq"
         path.write_bytes(b"DSEQ1\n" + header + b"\0" * 16)
@@ -201,3 +212,32 @@ class TestFileFormat:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(PayloadSizeError):
             read_sequence(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        path = tmp_path / "nan.dseq"
+        payload = np.array([0.0, 1.0, 2.0, bad], dtype="<f8").tobytes()
+        path.write_bytes(b"DSEQ1\n1 1 2\n" + payload)
+        with pytest.raises(FileFormatError, match="NaN or Inf"):
+            read_sequence(path)
+
+
+# Headers close to valid ones, so that payload checks are reached too.
+_HEADERS = st.from_regex(rb"\A[0-9 +_\t-]{0,10}\n", fullmatch=True)
+
+
+class TestReaderFuzz:
+    @given(
+        st.sampled_from([(SEQUENCE_MAGIC, read_sequence), (MASK_MAGIC, read_mask)]),
+        st.one_of(st.binary(max_size=80),
+                  st.builds(bytes.__add__, _HEADERS, st.binary(max_size=80))),
+    )
+    def test_any_bytes_after_magic_raise_only_file_format_error(self, tmp_path_factory,
+                                                                reader, tail):
+        magic, read = reader
+        path = tmp_path_factory.mktemp("fuzz") / "blob"
+        path.write_bytes(magic + tail)
+        try:
+            read(path)
+        except FileFormatError:
+            pass

@@ -10,6 +10,7 @@ from rdledm.experiment import load_experiment_config
 from rdledm.phantom import PhantomSpec, generate_phantom, phantom_preset
 from rdledm.sampling import make_mask, measure, zero_fill
 from rdledm.metrics import rmse
+from rdledm import solver
 from rdledm.solver import (
     SolverConfig,
     baseline_tvnn_solve,
@@ -93,6 +94,11 @@ class TestRelativeError:
     def test_step_away_from_zero(self):
         z = np.zeros((1, 2, 2), dtype=complex)
         assert relative_error(np.ones_like(z), z) == math.inf
+
+    def test_strided_input(self):
+        a = np.arange(1, 9, dtype=complex).reshape(1, 1, 8)
+        b = 1.1 * a
+        assert relative_error(b[:, :, ::2], a[:, :, ::2]) == pytest.approx(0.01, rel=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -192,6 +198,21 @@ class TestSolveMechanics:
         with pytest.raises(DivergenceError) as excinfo:
             rdledm_solve(data, mask, config)
         assert excinfo.value.iteration is not None
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    def test_block_split_does_not_change_results(self, small_problem, monkeypatch, solve):
+        # 4 frames: one block, then blocks of 1, 1 and 2 frames on 3 workers
+        truth, mask, data = small_problem
+        reports = []
+        for workers in (1, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda frames, w=workers: w)
+            reports.append(solve(data, mask, run_config(max_iters=12), reference=truth))
+        one, three = reports
+        assert np.array_equal(one.reconstruction, three.reconstruction)
+        assert one.re_series == three.re_series
+        assert one.psnr_series == three.psnr_series
 
 
 class TestSolveQuality:
