@@ -2,10 +2,9 @@
 
 PSNR and RMSE compare magnitude images, the way reconstructions are
 actually displayed. Both normalize by the reference: RMSE rescales so
-the reference peak magnitude is 1, and PSNR offers the classical 255
-peak (after the same rescaling) or the reference peak itself. An exact
-match yields the +inf sentinel for PSNR and 0 for RMSE; series carry
-the sentinel through to CSV as "inf".
+the reference peak magnitude is 1, and PSNR takes the reference peak
+as its peak. An exact match yields the +inf sentinel for PSNR and 0
+for RMSE; series carry the sentinel through to CSV as "inf".
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import numpy as np
 from .errors import DimensionError
 from .sequence import as_sequence
 
-PEAK_MODES = ("refmax", "fixed255")
-
 
 def _magnitude_pair(x, xhat) -> tuple[np.ndarray, np.ndarray]:
     x = as_sequence(x)
@@ -31,8 +28,7 @@ def _magnitude_pair(x, xhat) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(x), np.abs(xhat)
 
 
-def _psnr(ref: np.ndarray, est: np.ndarray, peak: float,
-          peak_mode: str = "refmax") -> float:
+def _psnr(ref: np.ndarray, est: np.ndarray, peak: float) -> float:
     # Trusted kernel behind psnr: magnitude stacks of one shape and the
     # reference peak ref.max().
     mse = float(np.mean((ref - est) ** 2))
@@ -44,24 +40,18 @@ def _psnr(ref: np.ndarray, est: np.ndarray, peak: float,
         return -math.inf
     if peak == 0.0:
         raise ValueError("reference is identically zero; PSNR is undefined")
-    if peak_mode == "fixed255":
-        scale = 255.0 / peak
-        mse *= scale * scale
-        peak = 255.0
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def psnr(x, xhat, peak_mode: str = "refmax") -> float:
+def psnr(x, xhat) -> float:
     """Peak signal-to-noise ratio in dB of ``xhat`` against reference ``x``.
 
-    ``refmax`` uses the reference peak magnitude directly; ``fixed255``
-    rescales both magnitudes so the reference peak maps to 255 and uses
-    255 as the peak. Identical inputs give +inf.
+    The peak is the reference peak magnitude. Rescaling both magnitudes
+    so that peak maps to 255 (the 8-bit convention) gives the same value.
+    Identical inputs give +inf.
     """
-    if peak_mode not in PEAK_MODES:
-        raise ValueError(f"peak_mode must be one of {PEAK_MODES}, got {peak_mode!r}")
     ref, est = _magnitude_pair(x, xhat)
-    return _psnr(ref, est, float(ref.max()), peak_mode)
+    return _psnr(ref, est, float(ref.max()))
 
 
 def _rmse(ref: np.ndarray, est: np.ndarray, peak: float,

@@ -13,6 +13,7 @@ of the solver relies on.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -101,8 +102,12 @@ def _grad_adjoint(y: DualField, out: np.ndarray | None = None) -> np.ndarray:
     frames, rows_minus, cols = p.shape
     if out is None:
         out = np.empty((frames, rows_minus + 1, cols), dtype=np.complex128)
-    out.fill(0.0)
-    out[:, :-1, :] += p
+    # Only the last row is zero-filled; the others start as 0 + p, with
+    # no fill pass. Every entry is evaluated in the order of a fully
+    # zero-filled accumulation, so even the signs of zeros match it
+    # (0 + p turns -0 into +0).
+    np.add(p, 0.0, out=out[:, :-1, :])
+    out[:, -1, :] = 0.0
     out[:, 1:, :] -= p
     out[:, :, :-1] += q
     out[:, :, 1:] -= q
@@ -133,10 +138,16 @@ def nuclear_norm(x) -> float:
     return float(values.sum())
 
 
-def _svt(x: np.ndarray, threshold: float) -> np.ndarray:
-    # Trusted kernel behind svt: x is a finite complex128 (T, m, n) stack
-    # and threshold >= 0. Row t of `flat` is frame t, so `flat` is the
-    # Casorati matrix C transposed.
+class _NonFiniteInput(Exception):
+    """Raised by :func:`_svt` when its input holds a NaN or an infinity."""
+
+
+def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None) -> np.ndarray:
+    # Trusted kernel behind svt: x is a complex128 (T, m, n) stack and
+    # threshold >= 0. Row t of `flat` is frame t, so `flat` is the
+    # Casorati matrix C transposed. When the result is exactly zero it
+    # is `zero` if given (a zero stack the caller keeps and never writes
+    # to, so it can tell that result by identity), else a new zero stack.
     flat = np.ascontiguousarray(x).reshape(x.shape[0], -1)
     # C is divided by its largest real or imaginary part, so that neither
     # ||C||_F nor the Gram matrix C^H C overflows or underflows for any
@@ -145,10 +156,14 @@ def _svt(x: np.ndarray, threshold: float) -> np.ndarray:
     # division by a real scale, several times faster.
     parts = flat.view(np.float64)
     scale = max(float(parts.max()), -float(parts.min()))
+    # Both reductions propagate NaN and reach inf on an infinite part, so
+    # this is the finiteness check, before any other arithmetic.
+    if not math.isfinite(scale):
+        raise _NonFiniteInput("singular value thresholding of a non-finite stack")
     scaled = parts / scale if scale > 0.0 else parts
     # No singular value can exceed ||C||_F: the result is exactly zero.
     if scale * np.linalg.norm(scaled) <= threshold:
-        return np.zeros_like(x)
+        return np.zeros_like(x) if zero is None else zero
     scaled = scaled.view(np.complex128)
     try:
         eigenvalues, vectors = np.linalg.eigh(scaled.conj() @ scaled.T)
@@ -183,13 +198,18 @@ def svt(x, threshold: float) -> np.ndarray:
 
 def _shrink_to_unit_disc(z: np.ndarray) -> None:
     # z <- z / max(1, |z|), in place. NumPy divides a complex number by a
-    # real one (read as r + 0j) by multiplying both parts with 1/r, so the
-    # real multiply on the float64 view gives the same values.
+    # real one (read as r + 0j) by multiplying both parts with 1/r, so real
+    # multiplies of the real and the imaginary parts give the same values.
     scale = np.abs(z)
+    # With no entry outside the disc every factor is exactly 1, which
+    # changes no bit. A NaN makes the max NaN and takes the full path.
+    if scale.max() <= 1.0:
+        return
     np.maximum(scale, 1.0, out=scale)
     np.divide(1.0, scale, out=scale)
-    parts = z.view(np.float64).reshape(*z.shape, 2)
-    parts *= scale[..., np.newaxis]
+    parts = z.view(np.float64)
+    parts[..., 0::2] *= scale
+    parts[..., 1::2] *= scale
 
 
 def _project_linf_ball(y: DualField) -> DualField:

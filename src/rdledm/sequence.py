@@ -34,7 +34,8 @@ from .errors import (
 
 SEQUENCE_MAGIC = b"DSEQ1\n"
 
-_PAIR_DTYPE = np.dtype("<f8")
+# One (real, imag) pair of little-endian float64 values.
+_VALUE_DTYPE = np.dtype("<c16")
 
 
 def as_sequence(data, copy: bool = False) -> np.ndarray:
@@ -133,13 +134,10 @@ def write_sequence(x, path) -> None:
     """Write a sequence to ``path`` in the DSEQ1 format."""
     x = as_sequence(x)
     frames, rows, cols = x.shape
-    interleaved = np.empty((x.size, 2), dtype=_PAIR_DTYPE)
-    interleaved[:, 0] = x.real.ravel()
-    interleaved[:, 1] = x.imag.ravel()
     with open(path, "wb") as handle:
         handle.write(SEQUENCE_MAGIC)
         handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
-        handle.write(interleaved.tobytes())
+        handle.write(x.astype(_VALUE_DTYPE, copy=False).tobytes())
 
 
 def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int, int], bytes]:
@@ -171,8 +169,10 @@ def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int,
 
 def read_sequence(path) -> np.ndarray:
     """Read a DSEQ1 file, validating magic, header, payload size and values."""
-    dims, payload = _read_payload(path, SEQUENCE_MAGIC, 16)
-    pairs = np.frombuffer(payload, dtype=_PAIR_DTYPE).reshape(-1, 2)
-    if not np.isfinite(pairs).all():
+    dims, payload = _read_payload(path, SEQUENCE_MAGIC, _VALUE_DTYPE.itemsize)
+    # One copy out of the read-only buffer, bit for bit: the signs of
+    # zero parts survive, and the result is owned and writeable.
+    values = np.frombuffer(payload, dtype=_VALUE_DTYPE).reshape(dims).astype(np.complex128)
+    if not np.isfinite(values).all():
         raise FileFormatError(f"{path}: payload holds NaN or Inf values")
-    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dims)
+    return values

@@ -39,6 +39,7 @@ from .operators import (
     _grad_adjoint,
     _grad_forward,
     _idft2,
+    _NonFiniteInput,
     _project_linf_ball,
     _svt,
 )
@@ -157,15 +158,20 @@ def relative_error(x_next, x_prev) -> float:
     return _relative_error(_squared_norm(x_next - x_prev), _squared_norm(x_prev))
 
 
-def _finite(stack: np.ndarray, iteration: int) -> np.ndarray:
-    # Blow-ups are caught before they reach an SVT, whose kernels would
-    # otherwise fail with an unhelpful error on non-finite input.
-    if not np.isfinite(stack).all():
-        raise DivergenceError(
-            f"solver state became non-finite at iteration {iteration}",
-            iteration=iteration,
-        )
-    return stack
+def _divergence(iteration: int) -> DivergenceError:
+    return DivergenceError(
+        f"solver state became non-finite at iteration {iteration}",
+        iteration=iteration,
+    )
+
+
+def _checked_svt(x, threshold, iteration, zero=None):
+    # Blow-ups are caught before they reach the SVT's decomposition,
+    # which would otherwise fail with an unhelpful error.
+    try:
+        return _svt(x, threshold, zero)
+    except _NonFiniteInput:
+        raise _divergence(iteration) from None
 
 
 def _worker_count(frames: int) -> int:
@@ -205,25 +211,31 @@ class _FrameBlocks:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def run(self, kernel, *stacks: np.ndarray) -> None:
+    def run(self, kernel, *stacks: np.ndarray, **params) -> None:
+        # Stacks are cut into blocks; keyword parameters go to every block.
         first, *rest = self._blocks
         jobs = [
-            self._pool.submit(kernel, *(stack[block] for stack in stacks))
+            self._pool.submit(kernel, *(stack[block] for stack in stacks), **params)
             for block in rest
         ]
-        kernel(*(stack[first] for stack in stacks))
+        kernel(*(stack[first] for stack in stacks), **params)
         for job in jobs:
             job.result()
 
 
-def _fidelity_gradient(x, sampled, masked_data, k, out) -> None:
-    # out <- F^H (M F x - M b) for one frame block, with k as scratch.
-    # For a 0/1 mask M this equals F^H ((M F x - b) M), the gradient of
-    # 1/2 ||A x - b||^2, whether or not b was masked.
+def _primal_step(x, sampled, masked_data, transport, k, out, *, step) -> None:
+    # out <- x - step * F^H (M F x - M b) - transport for one frame block,
+    # evaluated in that order, with k as scratch. For a 0/1 mask M,
+    # F^H (M F x - M b) equals F^H ((M F x - b) M), the gradient of
+    # 1/2 ||A x - b||^2, whether or not b was masked. Finishing x_bar here
+    # splits its last three passes over the blocks too.
     _dft2(x, out=k)
     k *= sampled
     k -= masked_data
     _idft2(k, out=out)
+    out *= step
+    np.subtract(x, out, out=out)
+    out -= transport
 
 
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
@@ -256,10 +268,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     sampled = mask.astype(np.complex128)
     masked_data = data * sampled
     init = _idft2(masked_data)
+    # eps for as long as the eps SVT returns its exact zero stack. Never
+    # written to, so the loop can test `state.eps is zero`.
+    zero = np.zeros_like(init)
     state = SolverState(
         x=init,
         x_prime=init.copy(),
-        eps=np.zeros_like(init),
+        eps=zero,
         y=DualField.zeros(frames, rows, cols),
     )
     # Reused every iteration: scratch (k-space inside the FFT pair, then
@@ -282,30 +297,36 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     terminated_by = "max-iters"
     started = time.perf_counter()
 
+    # Finiteness is checked without scans of its own: _svt tests its input
+    # through the extremes it takes anyway, and x_next is scanned only
+    # when its squared norm is not finite.
     with _FrameBlocks(frames) as blocks:
         for n in range(1, config.max_iters + 1):
             _grad_adjoint(state.y, out=transport)
             transport *= tv_step
-            # x_bar = x - fidelity_step * gradient - tv_step * transport,
-            # evaluated in that order.
-            blocks.run(_fidelity_gradient, state.x, sampled, masked_data, scratch, x_bar)
-            x_bar *= fidelity_step
-            np.subtract(state.x, x_bar, out=x_bar)
-            x_bar -= transport
+            # x_bar = x - fidelity_step * gradient - transport
+            blocks.run(_primal_step, state.x, sampled, masked_data,
+                       transport, scratch, x_bar, step=fidelity_step)
             if error_split:
-                np.add(state.x_prime, state.eps, out=scratch)
-                scratch *= config.tau
+                # While eps is the exact zero stack its tau * eps terms are
+                # skipped: they could change only the sign of a zero.
+                if state.eps is zero:
+                    np.multiply(state.x_prime, config.tau, out=scratch)
+                else:
+                    np.add(state.x_prime, state.eps, out=scratch)
+                    scratch *= config.tau
                 x_bar += scratch
-            x_next = _svt(_finite(x_bar, n), svt_threshold)
+            x_next = _checked_svt(x_bar, svt_threshold, n)
             # x_bar is free again: it holds the next SVT inputs and then
             # the lookahead 2 x_next (+ x') - x.
             if error_split:
                 np.subtract(x_next, transport, out=x_bar)
-                np.multiply(state.eps, config.tau, out=scratch)
-                x_bar += scratch
-                state.x_prime = _svt(_finite(x_bar, n), svt_threshold)
+                if state.eps is not zero:
+                    np.multiply(state.eps, config.tau, out=scratch)
+                    x_bar += scratch
+                state.x_prime = _checked_svt(x_bar, svt_threshold, n)
                 np.subtract(x_next, state.x_prime, out=x_bar)
-                state.eps = _svt(_finite(x_bar, n), eps_threshold)
+                state.eps = _checked_svt(x_bar, eps_threshold, n, zero)
                 np.multiply(x_next, 2.0, out=x_bar)
                 x_bar += state.x_prime
             else:
@@ -317,11 +338,14 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 y_part += ascent_part
             _project_linf_ball(state.y)
 
-            _finite(x_next, n)
+            # A finite stack can still have an overflowing square.
+            next_norm_sq = _squared_norm(x_next)
+            if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
+                raise _divergence(n)
             np.subtract(x_next, state.x, out=scratch)
             re = _relative_error(_squared_norm(scratch), x_norm_sq)
             state.x = x_next
-            x_norm_sq = _squared_norm(x_next)
+            x_norm_sq = next_norm_sq
             state.iteration = n
             re_series.append(re)
 

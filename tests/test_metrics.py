@@ -28,14 +28,6 @@ class TestPsnr:
     def test_exact_match_is_infinite(self, rng):
         x = random_sequence(rng, 2, 4, 4)
         assert psnr(x, x.copy()) == math.inf
-        assert psnr(x, x.copy(), peak_mode="fixed255") == math.inf
-
-    def test_fixed255_hand_value(self):
-        x = np.full((1, 2, 2), 255.0 + 0j)
-        xhat = np.full((1, 2, 2), 254.0 + 0j)
-        assert psnr(x, xhat, peak_mode="fixed255") == pytest.approx(
-            10.0 * math.log10(255.0**2), rel=1e-12
-        )
 
     def test_refmax_hand_value(self):
         x = np.ones((1, 1, 2), dtype=complex)
@@ -50,11 +42,6 @@ class TestPsnr:
     def test_overflowing_error_gives_negative_infinity(self):
         x = np.ones((1, 1, 2), dtype=complex)
         assert psnr(x, np.full_like(x, 1e200)) == -math.inf
-
-    def test_unknown_mode(self, rng):
-        x = random_sequence(rng, 1, 2, 2)
-        with pytest.raises(ValueError):
-            psnr(x, x, peak_mode="peak1")
 
     def test_zero_reference(self):
         zero = np.zeros((1, 2, 2), dtype=complex)

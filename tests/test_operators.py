@@ -7,6 +7,7 @@ from rdledm.errors import DimensionError
 from rdledm.operators import (
     DualField,
     _dft2,
+    _grad_adjoint,
     _idft2,
     dft2_adjoint,
     dft2_forward,
@@ -25,6 +26,13 @@ from conftest import random_sequence
 
 def dual_inner(a: DualField, b: DualField) -> complex:
     return complex(np.vdot(a.p, b.p) + np.vdot(a.q, b.q))
+
+
+def signed_zero_stack(gen, shape):
+    # Parts drawn from {+-0, +-1, +-2}, so that sums cancel to exact zeros
+    # and the sign of every zero in a result is put to the test.
+    parts = gen.choice([-0.0, 0.0, 1.0, -1.0, 2.0, -2.0], size=(*shape, 2))
+    return parts.view(np.complex128).reshape(shape)
 
 
 class TestFourier:
@@ -109,6 +117,23 @@ class TestDifferences:
         y = DualField(random_sequence(rng, 1, 3, 4), random_sequence(rng, 1, 3, 4))
         with pytest.raises(DimensionError):
             grad_adjoint(y)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (5, 6), (1, 4), (4, 1)])
+    def test_adjoint_bytes_match_zero_filled_accumulation(self, rows, cols):
+        # the kernel skips the zero fill; every bit, signed zeros
+        # included, must still be that of fill(0) and four slice updates
+        gen = np.random.default_rng(rows * 10 + cols)
+        p = signed_zero_stack(gen, (3, rows - 1, cols))
+        q = signed_zero_stack(gen, (3, rows, cols - 1))
+        expected = np.zeros((3, rows, cols), dtype=complex)
+        expected[:, :-1, :] += p
+        expected[:, 1:, :] -= p
+        expected[:, :, :-1] += q
+        expected[:, :, 1:] -= q
+        out = np.full((3, rows, cols), np.nan + 1j)
+        assert _grad_adjoint(DualField(p, q), out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert _grad_adjoint(DualField(p, q)).tobytes() == expected.tobytes()
 
     def test_zeros_factory_shapes(self):
         y = DualField.zeros(3, 5, 7)
@@ -280,6 +305,59 @@ class TestDualProjection:
         twice = project_linf_ball(out)
         assert np.allclose(twice.p, out.p, atol=1e-12)
         assert np.allclose(twice.q, out.q, atol=1e-12)
+
+
+def broadcast_shrink(z):
+    # The projection as first written: one broadcast multiply of both
+    # parts by 1 / max(1, |z|), on every entry.
+    z = z.copy()
+    scale = np.abs(z)
+    np.maximum(scale, 1.0, out=scale)
+    np.divide(1.0, scale, out=scale)
+    parts = z.view(np.float64).reshape(*z.shape, 2)
+    parts *= scale[..., np.newaxis]
+    return z
+
+
+class TestDualProjectionBits:
+    """Skip rule and strided rescale against the broadcast formula."""
+
+    ULP_OUT = np.nextafter(1.0, 2.0)
+
+    def cases(self):
+        gen = np.random.default_rng(7)
+        inside = 0.5 * signed_zero_stack(gen, (2, 3, 4)) / 2.0
+        inside[0, 0, 0] = 0.3 - 0.4j
+        on_circle = inside.copy()
+        on_circle[0, 1, 1] = 1.0 + 0j
+        on_circle[1, 2, 3] = -0.0 - 1j
+        ulp_out = on_circle.copy()
+        ulp_out[1, 0, 2] = self.ULP_OUT - 0.0j
+        one_out = inside.copy()
+        one_out[1, 1, 1] = 3.0 - 4j
+        all_out = 3.0 * random_sequence(gen, 2, 3, 4) + 4.0
+        return {"inside": inside, "on_circle": on_circle, "ulp_out": ulp_out,
+                "one_out": one_out, "all_out": all_out}
+
+    @pytest.mark.parametrize("case", ["inside", "on_circle", "ulp_out", "one_out", "all_out"])
+    def test_bytes_match_broadcast_formula(self, case):
+        z = self.cases()[case]
+        # p is (2, 3, 4), so q is (2, 4, 3): the same entries, transposed
+        q = np.ascontiguousarray(z.transpose(0, 2, 1))
+        out = project_linf_ball(DualField(z, q))
+        assert out.p.tobytes() == broadcast_shrink(z).tobytes()
+        assert out.q.tobytes() == broadcast_shrink(q).tobytes()
+
+    def test_skip_leaves_entries_on_the_circle_alone(self):
+        z = self.cases()["on_circle"]
+        out = project_linf_ball(DualField(z, np.ascontiguousarray(z.transpose(0, 2, 1))))
+        assert out.p.tobytes() == z.tobytes()
+
+    def test_one_ulp_outside_is_rescaled(self):
+        z = self.cases()["ulp_out"]
+        out = project_linf_ball(DualField(z, np.ascontiguousarray(z.transpose(0, 2, 1))))
+        assert out.p[1, 0, 2] != z[1, 0, 2]
+        assert abs(out.p[1, 0, 2]) <= 1.0
 
 
 class TestInputsUnchanged:

@@ -154,6 +154,19 @@ class TestFileFormat:
         assert back.dtype == np.complex128
         assert np.array_equal(back, x)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        # array_equal cannot see the sign of a zero; the bytes can
+        parts = np.array([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0], [0.0, -2.5],
+                          [3.0, 0.0], [-0.0, 0.0]])
+        x = parts.view(np.complex128).reshape(1, 2, 3)
+        path = tmp_path / "zeros.dseq"
+        write_sequence(x, path)
+        back = read_sequence(path)
+        assert back.tobytes() == x.tobytes()
+        assert back.flags.owndata and back.flags.writeable
+        write_sequence(back, tmp_path / "again.dseq")
+        assert (tmp_path / "again.dseq").read_bytes() == path.read_bytes()
+
     def test_payload_size_is_exact(self, rng, tmp_path):
         x = random_sequence(rng, 2, 3, 3)
         path = tmp_path / "seq.dseq"

@@ -37,6 +37,12 @@ def run_config(**overrides):
     return SolverConfig(**base)
 
 
+# In 40 iterations of the small problem, the eps SVT returns its exact
+# zero stack (early exit) in iterations 1-5, a zero result of the full
+# decomposition in 6-27, and a nonzero eps from iteration 28 on.
+EPS_SWITCHES_ON = {"tau": 0.1, "epsilon_threshold": 0.17}
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
@@ -213,6 +219,153 @@ class TestFrameBlocks:
         assert np.array_equal(one.reconstruction, three.reconstruction)
         assert one.re_series == three.re_series
         assert one.psnr_series == three.psnr_series
+
+    @pytest.mark.parametrize("solve,overrides", [
+        (baseline_tvnn_solve, {}),
+        (rdledm_solve, {}),
+        (rdledm_solve, EPS_SWITCHES_ON),
+    ])
+    def test_block_split_is_byte_identical(self, small_problem, monkeypatch, solve, overrides):
+        # the block kernel also finishes x_bar; signed zeros must not move
+        _, mask, data = small_problem
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda frames, w=workers: w)
+            report = solve(data, mask, run_config(max_iters=40, **overrides))
+            state = report.final_state
+            results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
+                            state.eps.tobytes(), state.y.p.tobytes(), state.y.q.tobytes(),
+                            report.re_series))
+        assert results[0] == results[1]
+
+
+class TestLoopShortcuts:
+    """Skipped work and folded checks leave every bit and error as it was."""
+
+    def test_zero_eps_skip_is_exact(self, small_problem, monkeypatch):
+        _, mask, data = small_problem
+        config = run_config(max_iters=40, **EPS_SWITCHES_ON)
+        original = solver._svt
+        zero_results = []
+
+        def recording(x, threshold, zero=None):
+            out = original(x, threshold, zero)
+            if zero is not None:
+                zero_results.append(out is zero)
+            return out
+
+        monkeypatch.setattr(solver, "_svt", recording)
+        skipping = rdledm_solve(data, mask, config)
+        assert zero_results.count(True) == 5
+        assert np.count_nonzero(skipping.final_state.eps) > 0
+        # A new zero stack each time: the loop cannot tell eps is zero, so
+        # it computes every tau * eps term from iteration 2 on.
+        monkeypatch.setattr(solver, "_svt", lambda x, threshold, zero=None: original(x, threshold))
+        computing = rdledm_solve(data, mask, config)
+        assert skipping.reconstruction.tobytes() == computing.reconstruction.tobytes()
+        assert skipping.final_state.eps.tobytes() == computing.final_state.eps.tobytes()
+        assert skipping.re_series == computing.re_series
+
+    def test_error_split_matches_naive_reimplementation(self, small_problem):
+        # independently coded rdledm loop, plain numpy throughout; eps is
+        # zero at first and nonzero later, so both kinds of iteration count
+        _, mask, data = small_problem
+        config = run_config(max_iters=40, **EPS_SWITCHES_ON)
+        report = rdledm_solve(data, mask, config)
+
+        def shrink(z, threshold):
+            frames = z.shape[0]
+            u, s, vh = np.linalg.svd(z.reshape(frames, -1).T, full_matrices=False)
+            return ((u * np.maximum(s - threshold, 0.0)) @ vh).T.reshape(z.shape)
+
+        m = mask.astype(np.float64)
+        b = np.asarray(data)
+        fid = config.t1 / (1 + config.t1)
+        tv = config.t1 * config.lambda1 / (1 + config.t1)
+        thr = config.t1 * config.lambda2 / (1 + config.t1)
+        sig = config.t2 * config.lambda1
+        tau = config.tau
+        x = np.fft.ifft2(b * m, axes=(-2, -1), norm="ortho")
+        xp = x.copy()
+        eps = np.zeros_like(x)
+        yp = np.zeros_like(x[:, 1:, :])
+        yq = np.zeros_like(x[:, :, 1:])
+        for _ in range(40):
+            div = np.zeros_like(x)
+            div[:, :-1, :] += yp
+            div[:, 1:, :] -= yp
+            div[:, :, :-1] += yq
+            div[:, :, 1:] -= yq
+            resid = np.fft.fft2(x, axes=(-2, -1), norm="ortho") * m - b
+            grad = np.fft.ifft2(resid * m, axes=(-2, -1), norm="ortho")
+            xn = shrink(x - fid * grad - tv * div + tau * (xp + eps), thr)
+            xp = shrink(xn - tv * div + tau * eps, thr)
+            eps = shrink(xn - xp, config.epsilon_threshold)
+            look = 2.0 * xn + xp - x
+            yp = yp + sig * (look[:, :-1, :] - look[:, 1:, :])
+            yq = yq + sig * (look[:, :, :-1] - look[:, :, 1:])
+            yp = yp / np.maximum(1.0, np.abs(yp))
+            yq = yq / np.maximum(1.0, np.abs(yq))
+            x = xn
+
+        assert np.count_nonzero(eps) > 0
+        assert np.abs(report.final_state.eps - eps).max() <= 1e-9 * np.abs(eps).max()
+        assert np.allclose(report.reconstruction, x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_x_bar_diverges_at_its_iteration(self, small_problem, monkeypatch,
+                                                         solve, bad):
+        # found by the first SVT's own scale reduction, not by a scan
+        _, mask, data = small_problem
+        original = solver._grad_adjoint
+        calls = []
+
+        def poisoned(y, out):
+            original(y, out=out)
+            calls.append(None)
+            if len(calls) == 4:
+                out[1, 2, 3] = bad
+            return out
+
+        monkeypatch.setattr(solver, "_grad_adjoint", poisoned)
+        with pytest.raises(DivergenceError) as excinfo:
+            solve(data, mask, run_config(max_iters=10, **EPS_SWITCHES_ON))
+        assert type(excinfo.value) is DivergenceError
+        assert excinfo.value.iteration == 4
+        assert str(excinfo.value) == "solver state became non-finite at iteration 4"
+
+    @pytest.mark.parametrize("solve,svts_per_iteration", [(rdledm_solve, 3),
+                                                           (baseline_tvnn_solve, 1)])
+    def test_non_finite_x_next_diverges_at_its_iteration(self, small_problem, monkeypatch,
+                                                          solve, svts_per_iteration):
+        # rdledm: found by the x' SVT; baseline: by the norm of x_next
+        _, mask, data = small_problem
+        original = solver._svt
+        calls = []
+
+        def poisoned(x, threshold, zero=None):
+            out = original(x, threshold, zero)
+            calls.append(None)
+            if len(calls) == 3 * svts_per_iteration + 1:  # first SVT of iteration 4
+                out = out.copy()
+                out[0, 5, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_svt", poisoned)
+        with pytest.raises(DivergenceError) as excinfo:
+            solve(data, mask, run_config(max_iters=10, **EPS_SWITCHES_ON))
+        assert excinfo.value.iteration == 4
+        assert str(excinfo.value) == "solver state became non-finite at iteration 4"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    def test_finite_state_with_overflowing_norm_does_not_raise(self, small_problem, solve):
+        _, mask, data = small_problem
+        report = solve(1e160 * data, mask, run_config(max_iters=3))
+        assert np.isfinite(report.reconstruction).all()
+        assert solver._squared_norm(report.reconstruction) == math.inf
 
 
 class TestSolveQuality:
