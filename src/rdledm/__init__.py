@@ -70,13 +70,7 @@ from .solver import (
     rdledm_solve,
     relative_error,
 )
-from .metrics import (
-    MetricSeries,
-    psnr,
-    psnr_rmse_sweep,
-    rmse,
-    series_to_csv,
-)
+from .metrics import psnr, rmse
 from .experiment import (
     ExperimentConfig,
     config_from_manifest,

@@ -11,7 +11,8 @@ ground truth (truth.dseq), the sampling mask (mask.mask), the simulated
 acquisition (kspace.dseq), the reconstruction (recon.dseq), optionally a
 per-iteration metric CSV (series.csv) and per-frame PGM images
 (frames/), plus manifest.json recording every resolved parameter, seeds,
-package versions, and timings; a run that fails writes none of them.
+package versions, and timings. Every result is computed before the
+first file is written, so a run that fails writes none of them.
 Everything except the manifest (which carries wall-clock timings) is
 bit-reproducible from the config alone, and the manifest embeds the full
 resolved config so a run can be replayed from it exactly.
@@ -20,7 +21,6 @@ resolved config so a run can be replayed from it exactly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import platform
 import sys
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .metrics import MetricSeries, format_float, psnr, psnr_rmse_sweep, rmse, series_to_csv
+from .metrics import _score, format_float
 from .phantom import generate_phantom, phantom_preset
 from .sampling import make_mask, measure, write_mask, zero_fill
 from .sequence import as_sequence, write_sequence
@@ -214,6 +214,15 @@ def _write_json(doc: dict, path) -> None:
         handle.write("\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``; floats are rendered by format_float."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+
+
 def _reconstruct(config: ExperimentConfig, data, mask, reference=None):
     """Solve by ``config.method``: (reconstruction, SolveReport or None)."""
     if config.method == "zerofill":
@@ -227,7 +236,9 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
     """Execute one phantom -> mask -> measure -> solve -> export run.
 
     Returns the manifest dict (also written to manifest.json). Nothing is
-    written until the solve returns, so a failed run leaves no files.
+    written until every result is computed, so a failed run leaves no
+    files. Per-iteration PSNR/RMSE are tracked only when series.csv is
+    exported.
     """
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
@@ -240,14 +251,9 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
     data = measure(truth, mask, config.noise_sigma, config.noise_seed)
 
     solve_started = time.perf_counter()
-    recon, report = _reconstruct(config, data, mask, reference=truth)
+    recon, report = _reconstruct(config, data, mask,
+                                 reference=truth if config.export_series else None)
     solve_seconds = time.perf_counter() - solve_started
-
-    write_sequence(truth, out_dir / "truth.dseq")
-    write_mask(mask, out_dir / "mask.mask")
-    write_sequence(data, out_dir / "kspace.dseq")
-    write_sequence(recon, out_dir / "recon.dseq")
-    artifacts = ["truth.dseq", "mask.mask", "kspace.dseq", "recon.dseq"]
 
     results: dict = {"method": config.method}
     if report is None:
@@ -256,19 +262,20 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
         results["iterations"] = report.iterations
         results["terminated_by"] = report.terminated_by
         results["final_re"] = report.re_series[-1]
-    results["psnr"] = psnr(truth, recon)
-    results["rmse"] = rmse(truth, recon)
-
+    results["psnr"], results["rmse"] = _score(truth, recon)
+    series = None
     if config.export_series and report is not None:
-        indices = [float(n) for n in range(1, report.iterations + 1)]
-        columns = [MetricSeries("re", tuple(zip(indices, report.re_series)))]
-        if report.psnr_series is not None:
-            columns.append(MetricSeries("psnr", tuple(zip(indices, report.psnr_series))))
-            columns.append(MetricSeries("rmse", tuple(zip(indices, report.rmse_series))))
-        with open(out_dir / "series.csv", "w", encoding="utf-8", newline="") as handle:
-            handle.write(series_to_csv(*columns))
-        artifacts.append("series.csv")
+        series = list(zip(range(1, report.iterations + 1), report.re_series,
+                          report.psnr_series, report.rmse_series))
 
+    write_sequence(truth, out_dir / "truth.dseq")
+    write_mask(mask, out_dir / "mask.mask")
+    write_sequence(data, out_dir / "kspace.dseq")
+    write_sequence(recon, out_dir / "recon.dseq")
+    artifacts = ["truth.dseq", "mask.mask", "kspace.dseq", "recon.dseq"]
+    if series is not None:
+        _write_csv(out_dir / "series.csv", ("index", "re", "psnr", "rmse"), series)
+        artifacts.append("series.csv")
     if config.export_pgm:
         artifacts.extend(
             f"frames/{name}" for name in write_pgm_frames(recon, out_dir / "frames")
@@ -294,13 +301,27 @@ def _cell_seed(base: int, pattern_index: int, ratio_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _sweep_cell(config: ExperimentConfig, truth, pattern: str, ratio: float,
+                p_index: int, r_index: int) -> tuple:
+    """Reconstruct one sweep cell and score it: (pattern, ratio, psnr, rmse)."""
+    frames, rows, cols = truth.shape
+    mask = make_mask(pattern, frames, rows, cols, ratio,
+                     _cell_seed(config.mask_seed, p_index, r_index),
+                     static=config.static_mask)
+    data = measure(truth, mask, config.noise_sigma,
+                   _cell_seed(config.noise_seed, p_index, r_index))
+    recon, _ = _reconstruct(config, data, mask)
+    return (pattern, float(ratio), *_score(truth, recon))
+
+
 def run_sweep(config: ExperimentConfig, ratios: list[float],
               patterns: tuple[str, ...] = ("cartesian", "radial", "random2d")) -> dict:
     """Reconstruct at every (pattern, ratio) cell and tabulate PSNR/RMSE.
 
     Cell seeds are derived from the config seeds and the cell position,
     so the whole matrix is reproducible and no cell consumes RNG state
-    from another.
+    from another. Returns the manifest and the sweep.csv rows, pattern
+    by pattern in increasing ratio.
     """
     if not ratios:
         raise ConfigError("sweep needs at least one ratio")
@@ -310,35 +331,13 @@ def run_sweep(config: ExperimentConfig, ratios: list[float],
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    spec = phantom_preset(config.preset, config.size, config.frames)
-    truth = generate_phantom(spec)
-
-    rows = []
-    series = {}
-    for p_index, pattern in enumerate(patterns):
-        cells = []
-        for r_index, ratio in enumerate(ratios):
-            mask = make_mask(pattern, spec.frames, spec.rows, spec.cols, ratio,
-                             _cell_seed(config.mask_seed, p_index, r_index),
-                             static=config.static_mask)
-            data = measure(truth, mask, config.noise_sigma,
-                           _cell_seed(config.noise_seed, p_index, r_index))
-            recon, _ = _reconstruct(config, data, mask)
-            cells.append((ratio, recon, truth))
-        psnr_series, rmse_series = psnr_rmse_sweep(cells)
-        series[pattern] = (psnr_series, rmse_series)
-        for (ratio, p_val), (_, r_val) in zip(psnr_series.points, rmse_series.points):
-            rows.append((pattern, ratio, p_val, r_val))
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["pattern", "ratio", "psnr", "rmse"])
-    for pattern, ratio, p_val, r_val in rows:
-        writer.writerow([pattern, format_float(ratio), format_float(p_val),
-                         format_float(r_val)])
-    csv_text = buffer.getvalue()
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.write(csv_text)
+    truth = generate_phantom(phantom_preset(config.preset, config.size, config.frames))
+    rows = [
+        _sweep_cell(config, truth, pattern, ratio, p_index, r_index)
+        for p_index, pattern in enumerate(patterns)
+        for r_index, ratio in enumerate(ratios)
+    ]
+    _write_csv(out_dir / "sweep.csv", ("pattern", "ratio", "psnr", "rmse"), rows)
 
     manifest = {
         "kind": "sweep",
@@ -350,4 +349,4 @@ def run_sweep(config: ExperimentConfig, ratios: list[float],
         "artifacts": ["sweep.csv"],
     }
     _write_json(manifest, out_dir / "sweep_manifest.json")
-    return {"manifest": manifest, "rows": rows, "series": series, "csv": csv_text}
+    return {"manifest": manifest, "rows": rows}

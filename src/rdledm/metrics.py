@@ -1,18 +1,15 @@
-"""Reconstruction quality metrics and series plumbing for experiments.
+"""Reconstruction quality metrics.
 
 PSNR and RMSE compare magnitude images, the way reconstructions are
 actually displayed. Both normalize by the reference: RMSE rescales so
 the reference peak magnitude is 1, and PSNR takes the reference peak
 as its peak. An exact match yields the +inf sentinel for PSNR and 0
-for RMSE; series carry the sentinel through to CSV as "inf".
+for RMSE; results files carry the sentinel through to CSV as "inf".
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,80 +75,17 @@ def rmse(x, xhat, frame_averaged: bool = True) -> float:
     return _rmse(ref, est, float(ref.max()), frame_averaged)
 
 
-def _valid_value(value: float) -> bool:
-    return math.isfinite(value) or value == math.inf
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """Labeled (index, value) pairs with strictly increasing indices."""
-
-    label: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "points",
-            tuple((float(i), float(v)) for i, v in self.points),
-        )
-        indices = [i for i, _ in self.points]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"series {self.label!r}: indices must strictly increase")
-        if not all(_valid_value(v) for _, v in self.points):
-            raise ValueError(f"series {self.label!r}: values must be finite or +inf")
-
-    def indices(self) -> tuple[float, ...]:
-        return tuple(i for i, _ in self.points)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
-
-def psnr_rmse_sweep(results) -> tuple[MetricSeries, MetricSeries]:
-    """Evaluate (ratio, reconstruction, reference) triples in given order.
-
-    Ratios must strictly increase; returns one PSNR series and one RMSE
-    series over the same ratio indices, without reordering anything.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("sweep results must be nonempty")
-    ratios = [float(r) for r, _, _ in results]
-    if any(b <= a for a, b in zip(ratios, ratios[1:])):
-        raise ValueError("sweep ratios must strictly increase")
-    psnr_points = []
-    rmse_points = []
-    for ratio, reconstruction, reference in results:
-        psnr_points.append((ratio, psnr(reference, reconstruction)))
-        rmse_points.append((ratio, rmse(reference, reconstruction)))
-    return MetricSeries("psnr", tuple(psnr_points)), MetricSeries("rmse", tuple(rmse_points))
+def _score(truth, recon) -> tuple[float, float]:
+    # (psnr(truth, recon), rmse(truth, recon)) bit for bit, from one
+    # magnitude pair.
+    ref, est = _magnitude_pair(truth, recon)
+    peak = float(ref.max())
+    return _psnr(ref, est, peak), _rmse(ref, est, peak)
 
 
 def format_float(value: float) -> str:
-    """Lossless decimal rendering; the +inf sentinel becomes "inf"."""
+    """Lossless decimal rendering; infinities become "inf" and "-inf"."""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return f"{value:.17g}"
 
-
-def series_to_csv(*series: MetricSeries) -> str:
-    """Merge series into CSV text over the union of their indices.
-
-    One column per series in the given order, first column "index",
-    missing values left as empty cells, floats rendered with 17
-    significant digits so parsing the text recovers them exactly.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    by_label = [dict(s.points) for s in series]
-    indices = sorted(set().union(*(d.keys() for d in by_label)))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["index", *(s.label for s in series)])
-    for index in indices:
-        row = [format_float(index)]
-        for mapping in by_label:
-            row.append(format_float(mapping[index]) if index in mapping else "")
-        writer.writerow(row)
-    return buffer.getvalue()

@@ -145,7 +145,8 @@ class _NonFiniteInput(Exception):
 def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None) -> np.ndarray:
     # Trusted kernel behind svt: x is a complex128 (T, m, n) stack and
     # threshold >= 0. Row t of `flat` is frame t, so `flat` is the
-    # Casorati matrix C transposed. When the result is exactly zero it
+    # Casorati matrix C transposed. When no singular value exceeds the
+    # threshold the result is exactly zero, and no product is formed: it
     # is `zero` if given (a zero stack the caller keeps and never writes
     # to, so it can tell that result by identity), else a new zero stack.
     flat = np.ascontiguousarray(x).reshape(x.shape[0], -1)
@@ -171,6 +172,8 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None) -> np.
         raise NumericalError("eigendecomposition failed during singular value thresholding") from exc
     sigma = scale * np.sqrt(np.maximum(eigenvalues, 0.0))
     keep = sigma > threshold
+    if not keep.any():
+        return np.zeros_like(x) if zero is None else zero
     factor = np.zeros_like(sigma)
     factor[keep] = 1.0 - threshold / sigma[keep]
     # C V diag(factor) V^H, written for the transposed layout.

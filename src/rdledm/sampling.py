@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, FileFormatError, InfeasibleRatioError
 from .operators import dft2_adjoint, dft2_forward
-from .sequence import _read_payload, as_sequence
+from .sequence import _read_payload, _write_payload, as_sequence
 
 MASK_MAGIC = b"MASK1\n"
 
@@ -265,11 +265,7 @@ def zero_fill(b, mask) -> np.ndarray:
 def write_mask(mask, path) -> None:
     """Write a mask to ``path`` in the MASK1 format."""
     mask = as_mask(mask)
-    frames, rows, cols = mask.shape
-    with open(path, "wb") as handle:
-        handle.write(MASK_MAGIC)
-        handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
-        handle.write(mask.tobytes())
+    _write_payload(path, MASK_MAGIC, mask.shape, mask.tobytes())
 
 
 def read_mask(path) -> np.ndarray:

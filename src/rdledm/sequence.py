@@ -133,11 +133,7 @@ def _parse_dims(line: bytes, path) -> tuple[int, int, int]:
 def write_sequence(x, path) -> None:
     """Write a sequence to ``path`` in the DSEQ1 format."""
     x = as_sequence(x)
-    frames, rows, cols = x.shape
-    with open(path, "wb") as handle:
-        handle.write(SEQUENCE_MAGIC)
-        handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
-        handle.write(x.astype(_VALUE_DTYPE, copy=False).tobytes())
+    _write_payload(path, SEQUENCE_MAGIC, x.shape, x.astype(_VALUE_DTYPE, copy=False).tobytes())
 
 
 def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int, int], bytes]:
@@ -165,6 +161,15 @@ def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int,
     if len(payload) != expected:
         raise PayloadSizeError(f"{path}: file shrank while its payload was read")
     return dims, payload
+
+
+def _write_payload(path, magic: bytes, dims: tuple[int, int, int], payload: bytes) -> None:
+    """Write a magic + "T m n" header file; the writer behind DSEQ1 and MASK1."""
+    frames, rows, cols = dims
+    with open(path, "wb") as handle:
+        handle.write(magic)
+        handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
+        handle.write(payload)
 
 
 def read_sequence(path) -> np.ndarray:

@@ -78,7 +78,6 @@ class SolverConfig:
     epsilon_threshold: float | None = None
     max_iters: int = 1000
     tol_re: float = 1e-7
-    record_metrics: bool = True
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "tau", "t1", "t2", "tol_re"):
@@ -138,8 +137,20 @@ def _squared_norm(x: np.ndarray) -> float:
     return float(parts @ parts)
 
 
-def _relative_error(change_sq: float, prev_sq: float) -> float:
-    # Both arguments are squared norms: ||x_next - x_prev||^2, ||x_prev||^2.
+def _relative_error(x_next: np.ndarray, x_prev: np.ndarray,
+                    change_sq: float, prev_sq: float) -> float:
+    # change_sq and prev_sq are ||x_next - x_prev||^2 and ||x_prev||^2.
+    # For finite stacks either overflows to +inf once entries pass about
+    # 1e154; the ratio does not depend on scale, so it is then taken on
+    # copies divided by the largest real or imaginary part of the two
+    # (the difference of such copies cannot overflow either).
+    if not (math.isfinite(change_sq) and math.isfinite(prev_sq)):
+        scale = max(float(np.abs(x.ravel().view(np.float64)).max())
+                    for x in (x_next, x_prev))
+        x_next = x_next / scale
+        x_prev = x_prev / scale
+        change_sq = _squared_norm(x_next - x_prev)
+        prev_sq = _squared_norm(x_prev)
     if prev_sq == 0.0:
         return 0.0 if change_sq == 0.0 else math.inf
     return change_sq / prev_sq
@@ -149,13 +160,15 @@ def relative_error(x_next, x_prev) -> float:
     """Squared-norm change ratio ||x_next - x_prev||^2 / ||x_prev||^2.
 
     Both zero gives 0 (already converged at zero); a nonzero step away
-    from an exactly zero iterate gives the +inf sentinel.
+    from an exactly zero iterate gives the +inf sentinel. The ratio is
+    finite for any finite stacks, even where the squared norms overflow.
     """
     x_next = as_sequence(x_next)
     x_prev = as_sequence(x_prev)
     if x_next.shape != x_prev.shape:
         raise DimensionError(f"shape mismatch: {x_next.shape} vs {x_prev.shape}")
-    return _relative_error(_squared_norm(x_next - x_prev), _squared_norm(x_prev))
+    return _relative_error(x_next, x_prev, _squared_norm(x_next - x_prev),
+                           _squared_norm(x_prev))
 
 
 def _divergence(iteration: int) -> DivergenceError:
@@ -287,7 +300,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     ascent = DualField.zeros(frames, rows, cols)
     x_norm_sq = _squared_norm(state.x)
 
-    track = reference is not None and config.record_metrics
+    track = reference is not None
     if track:
         ref_magnitude = np.abs(reference)
         ref_peak = float(ref_magnitude.max())
@@ -343,7 +356,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
                 raise _divergence(n)
             np.subtract(x_next, state.x, out=scratch)
-            re = _relative_error(_squared_norm(scratch), x_norm_sq)
+            re = _relative_error(x_next, state.x, _squared_norm(scratch), x_norm_sq)
             state.x = x_next
             x_norm_sq = next_norm_sq
             state.iteration = n
@@ -387,8 +400,9 @@ def rdledm_solve(data, mask, config: SolverConfig | None = None, reference=None,
     ``tau == 0`` the auxiliary updates can no longer influence x, so the
     whole branch is skipped and the iteration coincides exactly with
     :func:`baseline_tvnn_solve`. Passing ``reference`` records PSNR and
-    RMSE per iteration (when ``config.record_metrics``); ``on_iteration``
-    observes ``(n, re, psnr, rmse)`` and must leave all state alone.
+    RMSE per iteration; ``on_iteration`` observes ``(n, re, psnr, rmse)``
+    (psnr and rmse None without a reference) and must leave all state
+    alone.
     """
     config = config if config is not None else SolverConfig()
     return _primal_dual_solve(

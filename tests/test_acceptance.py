@@ -226,9 +226,12 @@ def test_criterion_09_sampling_rate_trend(criterion, tmp_path):
             "output": {"directory": str(tmp_path / "sweep")},
         })
         outcome = run_sweep(config, [0.20, 0.35, 0.50, 0.65])
-        for pattern, (psnr_series, rmse_series) in outcome["series"].items():
-            p_values = psnr_series.values()
-            r_values = rmse_series.values()
+        for pattern in ("cartesian", "radial", "random2d"):
+            # rows come pattern by pattern, in increasing ratio
+            rows = [row for row in outcome["rows"] if row[0] == pattern]
+            assert len(rows) == 4, pattern
+            p_values = [p for _, _, p, _ in rows]
+            r_values = [r for _, _, _, r in rows]
             for a, b in zip(p_values, p_values[1:]):
                 assert b >= a - 0.2, (pattern, p_values)
             for a, b in zip(r_values, r_values[1:]):

@@ -1,14 +1,17 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdledm import experiment
 from rdledm.cli import main
 from rdledm.errors import ConfigError
 from rdledm.experiment import (
@@ -214,11 +217,31 @@ class TestRunReconstruction:
         assert manifest["results"]["method"] == "baseline"
         assert manifest["results"]["iterations"] == 8
 
-    def test_series_export_can_be_disabled(self, tmp_path):
+    def test_series_export_can_be_disabled(self, tmp_path, monkeypatch):
+        # without series.csv the solver is given no reference to track
+        references = []
+        original = experiment._reconstruct
+
+        def recording(config, data, mask, reference=None):
+            references.append(reference)
+            return original(config, data, mask, reference)
+
+        monkeypatch.setattr(experiment, "_reconstruct", recording)
         doc = config_doc(tmp_path / "nos", output={"export_series": False},
                          solver={"max_iters": 4})
         manifest = run_reconstruction(experiment_config_from_json(doc))
         assert "series.csv" not in manifest["artifacts"]
+        assert references == [None]
+
+    def test_failure_after_solve_leaves_no_files(self, tmp_path, monkeypatch):
+        def failing(truth, recon):
+            raise ValueError("scoring failed")
+
+        monkeypatch.setattr(experiment, "_score", failing)
+        doc = config_doc(tmp_path / "fail", solver={"max_iters": 2})
+        with pytest.raises(ValueError):
+            run_reconstruction(experiment_config_from_json(doc))
+        assert list((tmp_path / "fail").iterdir()) == []
 
     def test_bit_reproducible_and_replayable(self, run, tmp_path):
         out, manifest = run
@@ -247,7 +270,7 @@ class TestRunSweep:
             ("cartesian", 0.3), ("cartesian", 0.5),
             ("random2d", 0.3), ("random2d", 0.5),
         ]
-        assert set(outcome["series"]) == {"cartesian", "random2d"}
+        assert set(outcome) == {"manifest", "rows"}
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "pattern,ratio,psnr,rmse"
         assert len(lines) == 5
@@ -335,9 +358,13 @@ class TestCliCommands:
         assert (tmp_path / "run" / "sweep.csv").exists()
 
     def test_module_entry_point(self):
+        # the child imports the package under test, installed or not
+        package_root = str(Path(experiment.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "rdledm", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert result.returncode == 0
         assert "reconstruct" in result.stdout
@@ -347,7 +374,7 @@ BAD_FIELDS = [
     ("solver", "lambda1", math.nan), ("solver", "lambda2", math.inf),
     ("solver", "tau", -math.inf), ("solver", "t1", math.nan), ("solver", "t2", math.inf),
     ("solver", "tol_re", math.nan), ("solver", "max_iters", 2.5),
-    ("solver", "max_iters", True), ("solver", "record_metrics", "no"),
+    ("solver", "max_iters", True),
     ("mask", "static", "false"), ("mask", "seed", True), ("mask", "pattern", ["cartesian"]),
     ("phantom", "size", 33.9), ("phantom", "preset", 3), ("noise", "sigma", math.nan),
     ("output", "export_pgm", "no"), ("noise", "seed", None),
@@ -406,6 +433,19 @@ class TestExitCodes:
         assert main(["reconstruct", "--config", str(config)]) == 3
         assert "error:" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_noise_exits_0(self, tmp_path, capsys):
+        # a finite sigma whose squared errors overflow: PSNR -inf, RMSE +inf
+        config = write_config(tmp_path, noise={"sigma": 1e160})
+        assert main(["reconstruct", "--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        for name in manifest["artifacts"]:
+            assert (tmp_path / "run" / name).exists()
+        header, *rows = (tmp_path / "run" / "series.csv").read_text().splitlines()
+        assert header == "index,re,psnr,rmse"
+        assert rows and all(row.endswith(",-inf,inf") for row in rows)
+        assert manifest["results"]["psnr"] == -math.inf
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["export", "--seq", str(tmp_path / "nope.dseq"),

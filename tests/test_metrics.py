@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 
 import numpy as np
@@ -7,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rdledm.errors import DimensionError
-from rdledm.metrics import (
-    MetricSeries,
-    format_float,
-    psnr,
-    psnr_rmse_sweep,
-    rmse,
-    series_to_csv,
+from rdledm import experiment
+from rdledm.errors import ConfigError, DimensionError
+from rdledm.experiment import (
+    _write_csv,
+    experiment_config_from_json,
+    run_reconstruction,
+    run_sweep,
 )
+from rdledm.metrics import _score, format_float, psnr, rmse
+from rdledm.phantom import generate_phantom, phantom_preset
 
 from conftest import random_sequence
 
@@ -96,79 +96,119 @@ class TestRmse:
         assert rmse(x, closer) < rmse(x, xhat)
 
 
+def small_config(out_dir, method="rdledm"):
+    return experiment_config_from_json({
+        "phantom": {"preset": "cine-like", "size": 32, "frames": 4},
+        "mask": {"pattern": "cartesian", "ratio": 0.4, "seed": 3},
+        "noise": {"sigma": 0.02, "seed": 5},
+        "solver": {"method": method, "max_iters": 6, "tol_re": 1e-300},
+        "output": {"directory": str(out_dir)},
+    })
+
+
+def recording_reconstruct(monkeypatch):
+    """Route experiment._reconstruct through a wrapper; returns its (recon, report) list."""
+    original = experiment._reconstruct
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(experiment, "_reconstruct", recording)
+    return calls
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
 class TestMetricSeries:
-    def test_accessors(self):
-        s = MetricSeries("psnr", ((1, 20.0), (2, 21.5)))
-        assert s.indices() == (1.0, 2.0)
-        assert s.values() == (20.0, 21.5)
+    """Per-iteration series and their scores as series.csv carries them."""
 
-    def test_accepts_positive_infinity(self):
-        MetricSeries("psnr", ((1, math.inf),))
+    def test_accessors(self, tmp_path, monkeypatch):
+        calls = recording_reconstruct(monkeypatch)
+        run_reconstruction(small_config(tmp_path))
+        [(_, report)] = calls
+        header, *rows = read_csv(tmp_path / "series.csv")
+        assert header == ["index", "re", "psnr", "rmse"]
+        columns = [[float(v) for v in column] for column in zip(*rows)]
+        assert columns[0] == [float(n) for n in range(1, 7)]
+        assert tuple(columns[1]) == report.re_series
+        assert tuple(columns[2]) == report.psnr_series
+        assert tuple(columns[3]) == report.rmse_series
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
-    def test_rejects_invalid_values(self, bad):
-        with pytest.raises(ValueError):
-            MetricSeries("psnr", ((1, bad),))
+    def test_accepts_positive_infinity(self, rng):
+        x = random_sequence(rng, 2, 4, 4)
+        assert _score(x, x.copy()) == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_invalid_values(self, rng, bad):
+        x = random_sequence(rng, 2, 4, 4)
+        xhat = x.copy()
+        xhat[1, 2, 3] = bad
+        with pytest.raises(DimensionError):
+            _score(x, xhat)
 
     @pytest.mark.parametrize("indices", [(1, 1), (2, 1)])
-    def test_rejects_non_increasing_indices(self, indices):
-        with pytest.raises(ValueError):
-            MetricSeries("rmse", tuple((i, 0.0) for i in indices))
+    def test_rejects_non_increasing_indices(self, tmp_path, indices):
+        with pytest.raises(ConfigError):
+            run_sweep(small_config(tmp_path, "zerofill"), [i / 10 for i in indices])
 
 
 class TestSweepEvaluation:
-    def test_matches_direct_calls(self, rng):
-        ref = random_sequence(rng, 2, 4, 4)
-        recons = [random_sequence(rng, 2, 4, 4) for _ in range(3)]
-        ratios = [0.1, 0.2, 0.3]
-        triples = [(ratio, r, ref) for ratio, r in zip(ratios, recons)]
-        p, r = psnr_rmse_sweep(triples)
-        assert p.label == "psnr" and r.label == "rmse"
-        assert p.indices() == tuple(ratios)
-        for (_, value), recon in zip(p.points, recons):
-            assert value == psnr(ref, recon)
-        for (_, value), recon in zip(r.points, recons):
-            assert value == rmse(ref, recon)
+    """Each sweep cell is scored right after its reconstruction."""
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            psnr_rmse_sweep([])
+    def test_matches_direct_calls(self, tmp_path, monkeypatch):
+        calls = recording_reconstruct(monkeypatch)
+        config = small_config(tmp_path, "zerofill")
+        rows = run_sweep(config, [0.3, 0.5], patterns=("cartesian", "random2d"))["rows"]
+        truth = generate_phantom(phantom_preset("cine-like", 32, 4))
+        assert len(rows) == len(calls) == 4
+        for (_, _, p_value, r_value), (recon, report) in zip(rows, calls):
+            assert report is None
+            assert p_value == psnr(truth, recon)
+            assert r_value == rmse(truth, recon)
+        assert [row[:2] for row in rows] == [
+            ("cartesian", 0.3), ("cartesian", 0.5), ("random2d", 0.3), ("random2d", 0.5),
+        ]
 
-    def test_rejects_unsorted_ratios(self, rng):
-        x = random_sequence(rng, 1, 2, 2)
-        with pytest.raises(ValueError):
-            psnr_rmse_sweep([(0.2, x, x), (0.1, x, x)])
+    def test_rejects_empty(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_sweep(small_config(tmp_path, "zerofill"), [])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_unsorted_ratios(self, tmp_path, monkeypatch):
+        # checked once, before any cell is solved or any file is written
+        calls = recording_reconstruct(monkeypatch)
+        with pytest.raises(ConfigError):
+            run_sweep(small_config(tmp_path, "zerofill"), [0.3, 0.5, 0.4])
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsv:
-    def test_round_trip_recovers_floats(self):
+    """_write_csv, the writer behind series.csv and sweep.csv."""
+
+    def test_round_trip_recovers_floats(self, tmp_path):
         values = (1.0 / 3.0, math.pi, 1e-17, 123456.789012345678)
-        s = MetricSeries("v", tuple((i, v) for i, v in enumerate(values)))
-        rows = list(csv.reader(io.StringIO(series_to_csv(s))))
+        _write_csv(tmp_path / "v.csv", ("index", "v"), enumerate(values))
+        rows = read_csv(tmp_path / "v.csv")
         assert rows[0] == ["index", "v"]
-        parsed = [float(row[1]) for row in rows[1:]]
-        assert parsed == list(values)
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2", "3"]
+        assert [float(row[1]) for row in rows[1:]] == list(values)
 
-    def test_two_point_series_is_three_lines(self):
-        s = MetricSeries("psnr", ((1, 20.0), (2, 21.0)))
-        assert len(series_to_csv(s).splitlines()) == 3
+    def test_two_point_series_is_three_lines(self, tmp_path):
+        _write_csv(tmp_path / "s.csv", ("index", "psnr"), [(1, 20.0), (2, 21.0)])
+        assert (tmp_path / "s.csv").read_bytes() == b"index,psnr\r\n1,20\r\n2,21\r\n"
 
-    def test_union_of_indices_with_gaps(self):
-        a = MetricSeries("a", ((1, 10.0), (2, 20.0)))
-        b = MetricSeries("b", ((2, 200.0), (3, 300.0)))
-        rows = list(csv.reader(io.StringIO(series_to_csv(a, b))))
-        assert rows[0] == ["index", "a", "b"]
-        assert rows[1] == ["1", "10", ""]
-        assert rows[2] == ["2", "20", "200"]
-        assert rows[3] == ["3", "", "300"]
-
-    def test_infinity_sentinel(self):
-        s = MetricSeries("psnr", ((1, math.inf),))
-        assert "inf" in series_to_csv(s).splitlines()[1]
-
-    def test_rejects_no_series(self):
-        with pytest.raises(ValueError):
-            series_to_csv()
+    def test_infinity_sentinel(self, tmp_path):
+        _write_csv(tmp_path / "s.csv", ("pattern", "psnr", "rmse"),
+                   [("radial", math.inf, 0.0), ("radial", -math.inf, math.inf)])
+        assert read_csv(tmp_path / "s.csv")[1:] == [
+            ["radial", "inf", "0"], ["radial", "-inf", "inf"],
+        ]
 
 
 class TestFormatting:

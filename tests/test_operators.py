@@ -9,6 +9,7 @@ from rdledm.operators import (
     _dft2,
     _grad_adjoint,
     _idft2,
+    _svt,
     dft2_adjoint,
     dft2_forward,
     grad_adjoint,
@@ -182,9 +183,15 @@ class TestSvt:
         assert np.array_equal(svt(x, np.inf), np.zeros_like(x))
 
     def test_threshold_above_spectrum_zeroes(self, rng):
+        # ||C||_F exceeds the threshold, no singular value does: the
+        # result is the caller's zero stack, with no product formed
         x = random_sequence(rng, 2, 4, 4)
         top = np.linalg.svd(x.reshape(2, -1).T, compute_uv=False)[0]
-        assert np.allclose(svt(x, top * 1.01), 0.0, atol=1e-12)
+        assert frobenius_norm(x) > top * 1.01
+        zero = np.zeros_like(x)
+        assert _svt(x, top * 1.01, zero) is zero
+        out = svt(x, top * 1.01)
+        assert out.tobytes() == zero.tobytes()
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-9, float("nan")])
     def test_rejects_bad_threshold(self, rng, bad):

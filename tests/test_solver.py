@@ -38,8 +38,9 @@ def run_config(**overrides):
 
 
 # In 40 iterations of the small problem, the eps SVT returns its exact
-# zero stack (early exit) in iterations 1-5, a zero result of the full
-# decomposition in 6-27, and a nonzero eps from iteration 28 on.
+# zero stack in iterations 1-27 (before the decomposition in 1-5, after
+# it finds no singular value above the threshold in 6-27), and a nonzero
+# eps from iteration 28 on.
 EPS_SWITCHES_ON = {"tau": 0.1, "epsilon_threshold": 0.17}
 
 
@@ -111,6 +112,17 @@ class TestRelativeError:
             relative_error(np.zeros((1, 2, 2), dtype=complex),
                            np.zeros((1, 2, 3), dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_squared_norms(self, rng, scale):
+        a = random_sequence(rng, 2, 3, 3)
+        b = a + random_sequence(rng, 2, 3, 3, scale=0.1)
+        assert relative_error(scale * b, scale * a) == pytest.approx(
+            relative_error(b, a), rel=1e-12)
+        # the difference itself overflows: ||-2x||^2 / ||x||^2 = 4
+        huge = np.full((1, 2, 2), 1e308 + 0j)
+        assert relative_error(-huge, huge) == 4.0
+
 
 class TestSolveMechanics:
     def test_report_shape_and_bookkeeping(self, small_problem):
@@ -140,10 +152,12 @@ class TestSolveMechanics:
         assert all(v > 0 for v in report.rmse_series)
 
     def test_tracking_disabled(self, small_problem):
-        truth, mask, data = small_problem
-        report = rdledm_solve(
-            data, mask, run_config(max_iters=3, record_metrics=False), reference=truth
-        )
+        # without a reference the callback sees no PSNR/RMSE either
+        _, mask, data = small_problem
+        seen = []
+        report = rdledm_solve(data, mask, run_config(max_iters=3),
+                              on_iteration=lambda n, re, p, r: seen.append((p, r)))
+        assert seen == [(None, None)] * 3
         assert report.psnr_series is None and report.rmse_series is None
 
     def test_callback_observes_each_iteration(self, small_problem):
@@ -256,7 +270,7 @@ class TestLoopShortcuts:
 
         monkeypatch.setattr(solver, "_svt", recording)
         skipping = rdledm_solve(data, mask, config)
-        assert zero_results.count(True) == 5
+        assert zero_results == [True] * 27 + [False] * 13
         assert np.count_nonzero(skipping.final_state.eps) > 0
         # A new zero stack each time: the loop cannot tell eps is zero, so
         # it computes every tau * eps term from iteration 2 on.
@@ -366,6 +380,9 @@ class TestLoopShortcuts:
         report = solve(1e160 * data, mask, run_config(max_iters=3))
         assert np.isfinite(report.reconstruction).all()
         assert solver._squared_norm(report.reconstruction) == math.inf
+        # the relative error is taken on rescaled copies, not read as 0
+        assert report.iterations == 3
+        assert all(0.0 < re < math.inf for re in report.re_series)
 
 
 class TestSolveQuality:
