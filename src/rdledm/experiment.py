@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import sys
 import time
@@ -208,9 +209,22 @@ def _versions() -> dict:
     }
 
 
+def _standard_json(value):
+    # Standard JSON has no infinities or NaN: such floats are written as
+    # strings, the way format_float writes them in the CSVs.
+    if isinstance(value, float):
+        return value if math.isfinite(value) else format_float(value)
+    if isinstance(value, dict):
+        return {key: _standard_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_standard_json(item) for item in value]
+    return value
+
+
 def _write_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
+        json.dump(_standard_json(doc), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 
@@ -235,7 +249,8 @@ def _reconstruct(config: ExperimentConfig, data, mask, reference=None):
 def run_reconstruction(config: ExperimentConfig) -> dict:
     """Execute one phantom -> mask -> measure -> solve -> export run.
 
-    Returns the manifest dict (also written to manifest.json). Nothing is
+    Returns the manifest dict (also written to manifest.json, where an
+    infinite PSNR, RMSE or relative error reads "inf" or "-inf"). Nothing is
     written until every result is computed, so a failed run leaves no
     files. Per-iteration PSNR/RMSE are tracked only when series.csv is
     exported.

@@ -27,8 +27,9 @@ def _magnitude_pair(x, xhat) -> tuple[np.ndarray, np.ndarray]:
 
 def _psnr(ref: np.ndarray, est: np.ndarray, peak: float) -> float:
     # Trusted kernel behind psnr: magnitude stacks of one shape and the
-    # reference peak ref.max().
-    mse = float(np.mean((ref - est) ** 2))
+    # reference peak ref.max(). An overflowing mse is handled below.
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return math.inf
     if math.isinf(mse):
@@ -53,14 +54,16 @@ def psnr(x, xhat) -> float:
 
 def _rmse(ref: np.ndarray, est: np.ndarray, peak: float,
           frame_averaged: bool = True) -> float:
-    # Trusted kernel behind rmse, with the same inputs as _psnr.
+    # Trusted kernel behind rmse, with the same inputs as _psnr. An error
+    # whose square overflows gives +inf, the limiting value.
     if peak > 0.0:
         ref = ref / peak
         est = est / peak
-    squared = (ref - est) ** 2
-    if frame_averaged:
-        return float(np.mean(np.sqrt(squared.mean(axis=(1, 2)))))
-    return float(np.sqrt(squared.mean()))
+    with np.errstate(over="ignore"):
+        squared = (ref - est) ** 2
+        if frame_averaged:
+            return float(np.mean(np.sqrt(squared.mean(axis=(1, 2)))))
+        return float(np.sqrt(squared.mean()))
 
 
 def rmse(x, xhat, frame_averaged: bool = True) -> float:

@@ -22,9 +22,13 @@ is t1/(1+t1) with no operator-norm estimation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -133,20 +137,27 @@ class SolveReport:
 
 def _squared_norm(x: np.ndarray) -> float:
     # ravel is contiguous, so the float64 view exists for strided input.
+    # An overflow to +inf is handled by every caller.
     parts = x.ravel().view(np.float64)
-    return float(parts @ parts)
+    with np.errstate(over="ignore"):
+        return float(parts @ parts)
 
 
 def _relative_error(x_next: np.ndarray, x_prev: np.ndarray,
                     change_sq: float, prev_sq: float) -> float:
     # change_sq and prev_sq are ||x_next - x_prev||^2 and ||x_prev||^2.
     # For finite stacks either overflows to +inf once entries pass about
-    # 1e154; the ratio does not depend on scale, so it is then taken on
-    # copies divided by the largest real or imaginary part of the two
-    # (the difference of such copies cannot overflow either).
-    if not (math.isfinite(change_sq) and math.isfinite(prev_sq)):
+    # 1e154, and ||x_prev||^2 underflows (to 0, or to a subnormal with
+    # few digits left) once they fall below about 1e-154. The ratio does
+    # not depend on scale, so it is then taken on copies divided by the
+    # largest real or imaginary part of the two (the difference of such
+    # copies cannot overflow either); a zero scale means both are zero.
+    if (not (math.isfinite(change_sq) and math.isfinite(prev_sq))
+            or prev_sq < sys.float_info.min):
         scale = max(float(np.abs(x.ravel().view(np.float64)).max())
                     for x in (x_next, x_prev))
+        if scale == 0.0:
+            return 0.0
         x_next = x_next / scale
         x_prev = x_prev / scale
         change_sq = _squared_norm(x_next - x_prev)
@@ -161,7 +172,8 @@ def relative_error(x_next, x_prev) -> float:
 
     Both zero gives 0 (already converged at zero); a nonzero step away
     from an exactly zero iterate gives the +inf sentinel. The ratio is
-    finite for any finite stacks, even where the squared norms overflow.
+    finite for any finite stacks, even where the squared norms overflow
+    or underflow.
     """
     x_next = as_sequence(x_next)
     x_prev = as_sequence(x_prev)
@@ -187,14 +199,89 @@ def _checked_svt(x, threshold, iteration, zero=None):
         raise _divergence(iteration) from None
 
 
-def _worker_count(frames: int) -> int:
+# NumPy's bundled OpenBLAS exports its thread-count calls under one of
+# these (get, set) name pairs; MKL and Accelerate builds export none.
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_thread_calls():
+    """(get, set) of the BLAS thread count NumPy uses, or None."""
+    # Symbols looked up through NumPy's core extension are found in the
+    # BLAS library it links.
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (OSError, AttributeError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_CALLS:
+        get = getattr(library, get_name, None)
+        set_ = getattr(library, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds NumPy's BLAS at one thread while any solve runs.
+
+    A solve's only BLAS calls are the SVT products and the squared norms.
+    At these sizes threads make them no faster, and after a threaded call
+    OpenBLAS's workers keep spinning on the other cores, which the frame
+    blocks need. One thread also makes the dot products behind the
+    relative error independent of the host's BLAS thread count.
+
+    The count belongs to the process, so solves overlapping in several
+    threads share one hold: the first to enter saves the count and sets 1,
+    the last to leave restores it, on every exit path. Where the BLAS
+    exports no thread-count call this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._restore = None
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._holders == 0:
+                calls = _blas_thread_calls()
+                if calls is not None:
+                    get, set_ = calls
+                    self._restore = functools.partial(set_, get())
+                    set_(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+# Frame blocks get a thread only from 2**17 voxels per worker on. Measured
+# on 2 cores (baseline solve, ms/iter on one worker against two): 64x64x8
+# 3.35/3.84 and 160x160x8 28.2/29.1 lose on two, 128x128x8 and 128x128x16
+# tie, 192x192x8 41.8/28.6 and 128x128x20 45.6/30.6 win.
+_VOXELS_PER_WORKER = 2**17
+
+
+def _worker_count(frames: int, rows: int, cols: int) -> int:
     # One worker per core this process may run on (every core where the
-    # platform cannot tell), but never more workers than frames.
+    # platform cannot tell), but never more workers than frames, nor one
+    # for fewer than _VOXELS_PER_WORKER voxels.
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(cores, frames)
+    return max(1, min(cores, frames, frames * rows * cols // _VOXELS_PER_WORKER))
 
 
 class _FrameBlocks:
@@ -203,19 +290,24 @@ class _FrameBlocks:
     The stacks passed to :meth:`run` are cut along the frame axis into
     one block per worker; the calling thread computes the first block
     and pool threads the rest. Each frame's result depends on that frame
-    alone, so it is bit-identical for any split. The pool lives only as
-    long as the ``with`` block of one solve.
+    alone, so it is bit-identical for any split. On one worker there is
+    no pool; otherwise it lives only as long as the ``with`` block of one
+    solve.
     """
 
-    def __init__(self, frames: int):
-        # Imported here: a process that never solves (most CLI commands)
-        # does not load the thread-pool modules, about 0.6 MB resident.
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = _worker_count(frames)
+    def __init__(self, shape: tuple[int, int, int]):
+        frames = shape[0]
+        workers = _worker_count(*shape)
         edges = [frames * w // workers for w in range(workers + 1)]
         self._blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+        self._pool = None
+        if workers > 1:
+            # Imported here: a process that never runs a pool (most CLI
+            # commands, small solves) does not load the thread-pool
+            # modules, about 0.6 MB resident.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(workers - 1)
 
     def __enter__(self) -> "_FrameBlocks":
         return self
@@ -236,12 +328,15 @@ class _FrameBlocks:
             job.result()
 
 
-def _primal_step(x, sampled, masked_data, transport, k, out, *, step) -> None:
-    # out <- x - step * F^H (M F x - M b) - transport for one frame block,
-    # evaluated in that order, with k as scratch. For a 0/1 mask M,
-    # F^H (M F x - M b) equals F^H ((M F x - b) M), the gradient of
-    # 1/2 ||A x - b||^2, whether or not b was masked. Finishing x_bar here
-    # splits its last three passes over the blocks too.
+def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
+                  step, tv_step) -> None:
+    # For one frame block: transport <- tv_step * grad_adjoint(y), then
+    # out <- x - step * F^H (M F x - M b) - transport, evaluated in that
+    # order, with k as scratch. For a 0/1 mask M, F^H (M F x - M b)
+    # equals F^H ((M F x - b) M), the gradient of 1/2 ||A x - b||^2,
+    # whether or not b was masked.
+    _grad_adjoint(DualField(p, q), out=transport)
+    transport *= tv_step
     _dft2(x, out=k)
     k *= sampled
     k -= masked_data
@@ -249,6 +344,23 @@ def _primal_step(x, sampled, masked_data, transport, k, out, *, step) -> None:
     out *= step
     np.subtract(x, out, out=out)
     out -= transport
+
+
+def _dual_block(x_next, x, p, q, ascent_p, ascent_q, lookahead, x_prime=None, *,
+                step) -> None:
+    # For one frame block: y <- proj(y + step * grad(2 x_next (+ x') - x)),
+    # evaluated in that order, with ascent as scratch. Each block decides
+    # for itself whether its projection can return at once; where it does,
+    # every factor of a whole-field projection would be exactly 1 there.
+    np.multiply(x_next, 2.0, out=lookahead)
+    if x_prime is not None:
+        lookahead += x_prime
+    lookahead -= x
+    _grad_forward(lookahead, out=DualField(ascent_p, ascent_q))
+    for y_part, ascent_part in ((p, ascent_p), (q, ascent_q)):
+        ascent_part *= step
+        y_part += ascent_part
+    _project_linf_ball(DualField(p, q))
 
 
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
@@ -298,7 +410,6 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     x_bar = np.empty_like(init)
     transport = np.empty_like(init)
     ascent = DualField.zeros(frames, rows, cols)
-    x_norm_sq = _squared_norm(state.x)
 
     track = reference is not None
     if track:
@@ -310,16 +421,20 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     terminated_by = "max-iters"
     started = time.perf_counter()
 
+    # One thread budget: BLAS on one thread, and every frame-wise stage in
+    # one of two frame-block kernels per iteration. The calling thread
+    # keeps the SVTs, the tau terms, the relative error and PSNR/RMSE.
     # Finiteness is checked without scans of its own: _svt tests its input
     # through the extremes it takes anyway, and x_next is scanned only
     # when its squared norm is not finite.
-    with _FrameBlocks(frames) as blocks:
+    with _ONE_BLAS_THREAD, _FrameBlocks(data.shape) as blocks:
+        x_norm_sq = _squared_norm(state.x)
         for n in range(1, config.max_iters + 1):
-            _grad_adjoint(state.y, out=transport)
-            transport *= tv_step
+            # transport = tv_step * grad_adjoint(y) and
             # x_bar = x - fidelity_step * gradient - transport
-            blocks.run(_primal_step, state.x, sampled, masked_data,
-                       transport, scratch, x_bar, step=fidelity_step)
+            blocks.run(_primal_block, state.x, sampled, masked_data, *state.y,
+                       transport, scratch, x_bar,
+                       step=fidelity_step, tv_step=tv_step)
             if error_split:
                 # While eps is the exact zero stack its tau * eps terms are
                 # skipped: they could change only the sign of a zero.
@@ -332,6 +447,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             x_next = _checked_svt(x_bar, svt_threshold, n)
             # x_bar is free again: it holds the next SVT inputs and then
             # the lookahead 2 x_next (+ x') - x.
+            dual_stacks = (x_next, state.x, *state.y, *ascent, x_bar)
             if error_split:
                 np.subtract(x_next, transport, out=x_bar)
                 if state.eps is not zero:
@@ -340,16 +456,8 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 state.x_prime = _checked_svt(x_bar, svt_threshold, n)
                 np.subtract(x_next, state.x_prime, out=x_bar)
                 state.eps = _checked_svt(x_bar, eps_threshold, n, zero)
-                np.multiply(x_next, 2.0, out=x_bar)
-                x_bar += state.x_prime
-            else:
-                np.multiply(x_next, 2.0, out=x_bar)
-            x_bar -= state.x
-            _grad_forward(x_bar, out=ascent)
-            for y_part, ascent_part in zip(state.y, ascent):
-                ascent_part *= dual_step
-                y_part += ascent_part
-            _project_linf_ball(state.y)
+                dual_stacks += (state.x_prime,)
+            blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
             # A finite stack can still have an overflowing square.
             next_norm_sq = _squared_norm(x_next)

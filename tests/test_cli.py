@@ -49,6 +49,14 @@ def write_config(tmp_path, **sections):
     return path
 
 
+def read_strict_json(path):
+    # standard JSON: no NaN, Infinity or -Infinity tokens
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 VALID_DOC = config_doc("run")
 # every settable key, including those the document leaves at their defaults
 CONFIG_PATHS = [(section,) for section in VALID_DOC] + [
@@ -434,18 +442,30 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_noise_exits_0(self, tmp_path, capsys):
-        # a finite sigma whose squared errors overflow: PSNR -inf, RMSE +inf
+        # a finite sigma whose squared errors overflow: PSNR -inf, RMSE +inf,
+        # handled without a warning and written as standard JSON
         config = write_config(tmp_path, noise={"sigma": 1e160})
         assert main(["reconstruct", "--config", str(config)]) == 0
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest = read_strict_json(tmp_path / "run" / "manifest.json")
         for name in manifest["artifacts"]:
             assert (tmp_path / "run" / name).exists()
         header, *rows = (tmp_path / "run" / "series.csv").read_text().splitlines()
         assert header == "index,re,psnr,rmse"
         assert rows and all(row.endswith(",-inf,inf") for row in rows)
-        assert manifest["results"]["psnr"] == -math.inf
+        assert (manifest["results"]["psnr"], manifest["results"]["rmse"]) == ("-inf", "inf")
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_exact_match_manifest_is_standard_json(self, tmp_path, monkeypatch, capsys):
+        # PSNR +inf is written as "inf", the way series.csv writes it
+        monkeypatch.setattr(experiment, "_reconstruct",
+                            lambda config, data, mask, reference=None: (reference, None))
+        config = write_config(tmp_path, solver={"method": "zerofill"})
+        assert main(["reconstruct", "--config", str(config)]) == 0
+        results = read_strict_json(tmp_path / "run" / "manifest.json")["results"]
+        assert (results["psnr"], results["rmse"]) == ("inf", 0.0)
+        assert "psnr=inf dB" in capsys.readouterr().out
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["export", "--seq", str(tmp_path / "nope.dseq"),

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +127,16 @@ class TestRelativeError:
         huge = np.full((1, 2, 2), 1e308 + 0j)
         assert relative_error(-huge, huge) == 4.0
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-200])
+    def test_underflowing_squared_norms(self, rng, scale):
+        # ||x||^2 is subnormal or zero: taken on rescaled copies, not read as 0
+        a = random_sequence(rng, 2, 3, 3)
+        b = a + random_sequence(rng, 2, 3, 3, scale=0.1)
+        assert relative_error(scale * b, scale * a) == pytest.approx(
+            relative_error(b, a), rel=1e-12)
+        ones = np.ones((1, 1, 2), dtype=complex)
+        assert relative_error(1.1e-170 * ones, 1e-170 * ones) == pytest.approx(0.01, rel=1e-9)
+
 
 class TestSolveMechanics:
     def test_report_shape_and_bookkeeping(self, small_problem):
@@ -223,16 +237,17 @@ class TestSolveMechanics:
 class TestFrameBlocks:
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
     def test_block_split_does_not_change_results(self, small_problem, monkeypatch, solve):
-        # 4 frames: one block, then blocks of 1, 1 and 2 frames on 3 workers
+        # 4 frames: one block; blocks of 2 and 2; blocks of 1, 1 and 2
         truth, mask, data = small_problem
         reports = []
-        for workers in (1, 3):
-            monkeypatch.setattr(solver, "_worker_count", lambda frames, w=workers: w)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
             reports.append(solve(data, mask, run_config(max_iters=12), reference=truth))
-        one, three = reports
-        assert np.array_equal(one.reconstruction, three.reconstruction)
-        assert one.re_series == three.re_series
-        assert one.psnr_series == three.psnr_series
+        one, *split = reports
+        for other in split:
+            assert np.array_equal(one.reconstruction, other.reconstruction)
+            assert one.re_series == other.re_series
+            assert one.psnr_series == other.psnr_series
 
     @pytest.mark.parametrize("solve,overrides", [
         (baseline_tvnn_solve, {}),
@@ -240,17 +255,145 @@ class TestFrameBlocks:
         (rdledm_solve, EPS_SWITCHES_ON),
     ])
     def test_block_split_is_byte_identical(self, small_problem, monkeypatch, solve, overrides):
-        # the block kernel also finishes x_bar; signed zeros must not move
+        # both block kernels finish sums in place; signed zeros must not move
         _, mask, data = small_problem
         results = []
-        for workers in (1, 3):
-            monkeypatch.setattr(solver, "_worker_count", lambda frames, w=workers: w)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
             report = solve(data, mask, run_config(max_iters=40, **overrides))
             state = report.final_state
             results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
                             state.eps.tobytes(), state.y.p.tobytes(), state.y.q.tobytes(),
                             report.re_series))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
+
+    def test_worker_rule(self, monkeypatch):
+        # a thread per block only from 2**17 voxels per worker on
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert solver._worker_count(8, 64, 64) == 1
+        assert solver._worker_count(20, 128, 128) == 2
+        assert solver._worker_count(8, 128, 128) == 1
+        assert solver._worker_count(8, 192, 192) == 2
+        assert solver._worker_count(1, 512, 512) == 1
+        with solver._FrameBlocks((8, 64, 64)) as blocks:
+            assert blocks._pool is None
+
+    def test_one_worker_imports_no_pool(self):
+        # a solve small enough for one worker leaves concurrent.futures unloaded
+        code = (
+            "import sys, numpy as np\n"
+            "from rdledm.solver import SolverConfig, baseline_tvnn_solve\n"
+            "data = np.ones((4, 16, 16), complex)\n"
+            "baseline_tvnn_solve(data, np.ones((4, 16, 16), bool), SolverConfig(max_iters=3))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=120, check=True,
+                                env={**os.environ,
+                                     "PYTHONPATH": str(Path(solver.__file__).parents[1])})
+        assert result.stdout.strip() == "False"
+
+
+@pytest.fixture
+def blas_threads():
+    # (get, set) of NumPy's BLAS thread count; the count is restored after
+    calls = solver._blas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy's BLAS exports no thread-count call")
+    get, set_ = calls
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+class TestThreadBudget:
+    """A solve runs BLAS on one thread and restores the caller's count."""
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("outcome", ["return", "divergence", "callback", "interrupt"])
+    def test_count_restored_on_every_exit(self, small_problem, blas_threads, outcome):
+        _, mask, data = small_problem
+        get, set_ = blas_threads
+        set_(2)
+        seen = []
+
+        def observe(n, re, p, r):
+            seen.append(get())
+            if outcome == "callback":
+                raise RuntimeError("observer failure")
+            if outcome == "interrupt":
+                raise KeyboardInterrupt
+
+        config = run_config(max_iters=5)
+        if outcome == "divergence":
+            # the runaway coupling of TestSolveMechanics
+            config = run_config(max_iters=50, tau=1e150, epsilon_threshold=0.0)
+        expected = {"return": None, "divergence": DivergenceError,
+                    "callback": CallbackError, "interrupt": KeyboardInterrupt}[outcome]
+        if expected is None:
+            rdledm_solve(data, mask, config, on_iteration=observe)
+        else:
+            with pytest.raises(expected):
+                rdledm_solve(data, mask, config, on_iteration=observe)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+
+    def test_results_do_not_depend_on_callers_count(self, blas_threads):
+        # the relative error's dot products no longer follow the BLAS split
+        _, set_ = blas_threads
+        truth = generate_phantom(PhantomSpec(rows=32, cols=32, frames=8))
+        mask = make_mask("cartesian", 8, 32, 32, 0.4, seed=1)
+        data = measure(truth, mask, 0.02, seed=2)
+        reports = []
+        for threads in (1, 2):
+            set_(threads)
+            reports.append(rdledm_solve(data, mask, run_config(max_iters=30)))
+        one, two = reports
+        assert one.reconstruction.tobytes() == two.reconstruction.tobytes()
+        assert one.re_series == two.re_series
+
+    def test_overlapping_solves_restore_count(self, small_problem, blas_threads):
+        # the first solve to leave must not restore the count while the
+        # second still runs, nor the second leave it at 1
+        _, mask, data = small_problem
+        get, set_ = blas_threads
+        set_(2)
+        inside, first_left = threading.Event(), threading.Event()
+        counts = []
+
+        def hold(n, re, p, r):
+            if n == 1:
+                inside.set()
+                assert first_left.wait(timeout=60)
+                counts.append(get())
+
+        second = threading.Thread(
+            target=rdledm_solve, args=(data, mask, run_config(max_iters=2)),
+            kwargs={"on_iteration": hold})
+        second.start()
+        try:
+            assert inside.wait(timeout=60)
+            rdledm_solve(data, mask, run_config(max_iters=2))
+            assert get() == 1
+        finally:
+            first_left.set()
+            second.join(timeout=60)
+        assert not second.is_alive()
+        assert counts == [1]
+        assert get() == 2
+
+    def test_solve_runs_without_thread_calls(self, small_problem, monkeypatch, blas_threads):
+        # as on a BLAS that exports none of the names
+        _, mask, data = small_problem
+        get, _ = blas_threads
+        before = get()
+        monkeypatch.setattr(solver, "_BLAS_THREAD_CALLS", (("no_such_get", "no_such_set"),))
+        assert solver._blas_thread_calls() is None
+        seen = []
+        report = rdledm_solve(data, mask, run_config(max_iters=3),
+                              on_iteration=lambda *_: seen.append(get()))
+        assert report.iterations == 3
+        assert seen == [before] * 3 and get() == before
 
 
 class TestLoopShortcuts:
@@ -383,6 +526,14 @@ class TestLoopShortcuts:
         # the relative error is taken on rescaled copies, not read as 0
         assert report.iterations == 3
         assert all(0.0 < re < math.inf for re in report.re_series)
+
+    def test_tiny_state_does_not_stop_at_iteration_one(self, small_problem):
+        # ||x||^2 underflows to 0: the SVT zeroes the first iterate (RE 1),
+        # and the solve stops once two zero iterates follow (RE 0)
+        _, mask, data = small_problem
+        report = rdledm_solve(1e-170 * data, mask, run_config(max_iters=5, tol_re=1e-7))
+        assert report.re_series == (1.0, 0.0)
+        assert report.terminated_by == "tolerance"
 
 
 class TestSolveQuality:
