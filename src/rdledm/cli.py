@@ -2,7 +2,8 @@
 
 Subcommands compose the pipeline stages: phantom, mask, measure,
 reconstruct, sweep, export. Exit codes: 0 success, 2 validation or
-configuration error, 3 numerical divergence, 4 I/O or file-format error.
+configuration error (sizes too large to allocate included), 3 numerical
+divergence, 4 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (RdledmError, ValueError, KeyError) as exc:
+    except (RdledmError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

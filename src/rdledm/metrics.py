@@ -1,10 +1,10 @@
 """Reconstruction quality metrics.
 
 PSNR and RMSE compare magnitude images, the way reconstructions are
-actually displayed. Both normalize by the reference: RMSE rescales so
-the reference peak magnitude is 1, and PSNR takes the reference peak
-as its peak. An exact match yields the +inf sentinel for PSNR and 0
-for RMSE; results files carry the sentinel through to CSV as "inf".
+actually displayed. Both rescale so the reference peak magnitude is 1,
+and both come from one kernel. An exact match yields the +inf sentinel
+for PSNR and 0 for RMSE; results files carry the sentinel through to
+CSV as "inf".
 """
 
 from __future__ import annotations
@@ -17,73 +17,67 @@ from .errors import DimensionError
 from .sequence import as_sequence
 
 
-def _magnitude_pair(x, xhat) -> tuple[np.ndarray, np.ndarray]:
-    x = as_sequence(x)
-    xhat = as_sequence(xhat)
-    if x.shape != xhat.shape:
-        raise DimensionError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    return np.abs(x), np.abs(xhat)
+def _reference(truth: np.ndarray) -> tuple[np.ndarray, float]:
+    # The first two arguments of _psnr_rmse for reference stack truth:
+    # |truth| divided by its peak (left as it is when the peak is 0), and
+    # the peak.
+    ref = np.abs(truth)
+    peak = float(ref.max())
+    if peak > 0.0:
+        ref /= peak
+    return ref, peak
 
 
-def _psnr(ref: np.ndarray, est: np.ndarray, peak: float) -> float:
-    # Trusted kernel behind psnr: magnitude stacks of one shape and the
-    # reference peak ref.max(). An overflowing mse is handled below.
+def _psnr_rmse(ref: np.ndarray, peak: float, est: np.ndarray) -> tuple[float, float]:
+    # Trusted kernel behind every PSNR and RMSE: ref and peak come from
+    # _reference, est is a float64 buffer of the estimate's magnitudes of
+    # the same shape, which it overwrites. Both metrics are taken on the
+    # peak-scaled difference, so neither depends on the scale of the data;
+    # squares that overflow give the limiting values (-inf, inf).
     with np.errstate(over="ignore"):
-        mse = float(np.mean((ref - est) ** 2))
+        if peak > 0.0:
+            est /= peak
+        np.subtract(ref, est, out=est)
+        np.square(est, out=est)
+        per_frame = est.mean(axis=(1, 2))
+        mse = float(per_frame.mean())
+    rmse_value = float(np.mean(np.sqrt(per_frame)))
     if mse == 0.0:
-        return math.inf
+        return math.inf, rmse_value
     if math.isinf(mse):
-        # squared error overflowed float64: the estimate is unboundedly
-        # bad, so report the limiting value instead of a domain error
-        return -math.inf
+        return -math.inf, rmse_value
     if peak == 0.0:
-        raise ValueError("reference is identically zero; PSNR is undefined")
-    return 10.0 * math.log10(peak * peak / mse)
+        raise ValueError("reference is identically zero; PSNR and RMSE are undefined")
+    return -10.0 * math.log10(mse), rmse_value
+
+
+def _score(truth, recon) -> tuple[float, float]:
+    # (psnr(truth, recon), rmse(truth, recon)), validated here once.
+    truth = as_sequence(truth)
+    recon = as_sequence(recon)
+    if truth.shape != recon.shape:
+        raise DimensionError(f"shape mismatch: {truth.shape} vs {recon.shape}")
+    return _psnr_rmse(*_reference(truth), np.abs(recon))
 
 
 def psnr(x, xhat) -> float:
     """Peak signal-to-noise ratio in dB of ``xhat`` against reference ``x``.
 
-    The peak is the reference peak magnitude. Rescaling both magnitudes
-    so that peak maps to 255 (the 8-bit convention) gives the same value.
+    The peak is the reference peak magnitude, and the error is taken on
+    magnitudes scaled by it, so rescaling both inputs leaves the value
+    unchanged (mapping the peak to 255, the 8-bit convention, included).
     Identical inputs give +inf.
     """
-    ref, est = _magnitude_pair(x, xhat)
-    return _psnr(ref, est, float(ref.max()))
+    return _score(x, xhat)[0]
 
 
-def _rmse(ref: np.ndarray, est: np.ndarray, peak: float,
-          frame_averaged: bool = True) -> float:
-    # Trusted kernel behind rmse, with the same inputs as _psnr. An error
-    # whose square overflows gives +inf, the limiting value.
-    if peak > 0.0:
-        ref = ref / peak
-        est = est / peak
-    with np.errstate(over="ignore"):
-        squared = (ref - est) ** 2
-        if frame_averaged:
-            return float(np.mean(np.sqrt(squared.mean(axis=(1, 2)))))
-        return float(np.sqrt(squared.mean()))
-
-
-def rmse(x, xhat, frame_averaged: bool = True) -> float:
+def rmse(x, xhat) -> float:
     """Root-mean-square error of magnitudes, reference peak scaled to 1.
 
-    By default the RMS error is taken per frame and averaged over the
-    stack; ``frame_averaged=False`` pools all entries instead, which is
-    the quantity tied to PSNR by ``psnr = -20*log10(rmse)`` when the
-    reference peak is 1.
+    The RMS error is taken per frame and averaged over the stack.
+    Identical inputs give 0.
     """
-    ref, est = _magnitude_pair(x, xhat)
-    return _rmse(ref, est, float(ref.max()), frame_averaged)
-
-
-def _score(truth, recon) -> tuple[float, float]:
-    # (psnr(truth, recon), rmse(truth, recon)) bit for bit, from one
-    # magnitude pair.
-    ref, est = _magnitude_pair(truth, recon)
-    peak = float(ref.max())
-    return _psnr(ref, est, peak), _rmse(ref, est, peak)
+    return _score(x, xhat)[1]
 
 
 def format_float(value: float) -> str:

@@ -50,10 +50,10 @@ def as_mask(mask) -> np.ndarray:
         raise DimensionError(f"expected a (frames, rows, cols) mask, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise DimensionError(f"all mask axes must be nonempty, got shape {arr.shape}")
-    arr = arr.astype(np.uint8, copy=False)
+    # Checked before the cast, which would wrap 256 to 0 and truncate 0.5.
     if not np.isin(arr, (0, 1)).all():
         raise DimensionError("mask entries must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def achieved_ratio(mask) -> float:

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CallbackError, DimensionError, DivergenceError
-from .metrics import _psnr, _rmse
+from .metrics import _psnr_rmse, _reference
 from .operators import (
     DualField,
     _dft2,
@@ -112,13 +112,12 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All mutable state of one solve: primal stacks, dual field, counter."""
+    """All mutable state of one solve: primal stacks and dual field."""
 
     x: np.ndarray
     x_prime: np.ndarray
     eps: np.ndarray
     y: DualField
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -413,8 +412,8 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
 
     track = reference is not None
     if track:
-        ref_magnitude = np.abs(reference)
-        ref_peak = float(ref_magnitude.max())
+        ref_magnitude, ref_peak = _reference(reference)
+        magnitude = np.empty(data.shape)
     re_series: list[float] = []
     psnr_series: list[float] = []
     rmse_series: list[float] = []
@@ -467,14 +466,12 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             re = _relative_error(x_next, state.x, _squared_norm(scratch), x_norm_sq)
             state.x = x_next
             x_norm_sq = next_norm_sq
-            state.iteration = n
             re_series.append(re)
 
             psnr_value = rmse_value = None
             if track:
-                magnitude = np.abs(state.x)
-                psnr_value = _psnr(ref_magnitude, magnitude, ref_peak)
-                rmse_value = _rmse(ref_magnitude, magnitude, ref_peak)
+                np.abs(state.x, out=magnitude)
+                psnr_value, rmse_value = _psnr_rmse(ref_magnitude, ref_peak, magnitude)
                 psnr_series.append(psnr_value)
                 rmse_series.append(rmse_value)
             if on_iteration is not None:

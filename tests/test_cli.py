@@ -49,6 +49,16 @@ def write_config(tmp_path, **sections):
     return path
 
 
+def run_module(args, **kwargs):
+    """Run ``python -m rdledm args`` in a child that imports the package
+    under test, installed or not."""
+    package_root = str(Path(experiment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "rdledm", *args],
+                          capture_output=True, text=True, timeout=60, env=env, **kwargs)
+
+
 def read_strict_json(path):
     # standard JSON: no NaN, Infinity or -Infinity tokens
     def reject(token):
@@ -366,14 +376,7 @@ class TestCliCommands:
         assert (tmp_path / "run" / "sweep.csv").exists()
 
     def test_module_entry_point(self):
-        # the child imports the package under test, installed or not
-        package_root = str(Path(experiment.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "rdledm", "--help"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        result = run_module(["--help"])
         assert result.returncode == 0
         assert "reconstruct" in result.stdout
 
@@ -399,6 +402,30 @@ class TestExitCodes:
         assert main(["mask", "--pattern", "radial", "--rows", "16", "--cols", "16",
                      "--ratio", "0.01", "--out", str(tmp_path / "m.mask")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["reconstruct", "--config", "{config}"],
+        ["phantom", "--preset", "cine-like", "--frames", "4000000000", "--out", "{out}"],
+        ["mask", "--pattern", "cartesian", "--rows", "2000000", "--cols", "2000000",
+         "--frames", "4", "--ratio", "0.25", "--out", "{out}"],
+    ], ids=["reconstruct", "phantom", "mask"])
+    def test_unallocatable_size_exits_2(self, tmp_path, command):
+        # Each asks for 14.6 TiB or more. The child's address space is
+        # capped at 4 GiB, so the allocation fails without being made.
+        resource = pytest.importorskip("resource")
+        limit = 4 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        config = write_config(tmp_path, phantom={"preset": "cine-like", "size": 32,
+                                                 "frames": 4_000_000_000})
+        args = [arg.format(config=config, out=tmp_path / "out") for arg in command]
+        result = run_module(args, preexec_fn=cap_address_space)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: Unable to allocate")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -24,6 +24,20 @@ def nonneg_stack(gen, frames=2, rows=4, cols=4):
     return gen.random((frames, rows, cols)).astype(np.complex128)
 
 
+def pooled_rmse(x, xhat):
+    """RMS error over all entries of the magnitudes, reference peak scaled to 1."""
+    peak = np.abs(x).max()
+    return math.sqrt(np.mean((np.abs(x) / peak - np.abs(xhat) / peak) ** 2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+def test_metrics_do_not_depend_on_scale(rng, scale):
+    x = random_sequence(rng, 2, 4, 4)
+    xhat = x + 0.1 * random_sequence(rng, 2, 4, 4)
+    for metric in (psnr, rmse):
+        assert metric(scale * x, scale * xhat) == pytest.approx(metric(x, xhat), rel=1e-12)
+
+
 class TestPsnr:
     def test_exact_match_is_infinite(self, rng):
         x = random_sequence(rng, 2, 4, 4)
@@ -38,7 +52,6 @@ class TestPsnr:
         x = np.ones((1, 1, 2), dtype=complex)
         assert psnr(x, (1j * x).copy()) == math.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_error_gives_negative_infinity(self):
         x = np.ones((1, 1, 2), dtype=complex)
         assert psnr(x, np.full_like(x, 1e200)) == -math.inf
@@ -68,14 +81,19 @@ class TestRmse:
         xhat = np.array([[[2.0, 1.0]]], dtype=complex)
         assert rmse(x, xhat) == pytest.approx(math.sqrt(0.125), rel=1e-12)
 
+    def test_zero_reference(self):
+        # no peak to scale by, as for PSNR; zero against zero is a match
+        zero = np.zeros((1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError):
+            rmse(zero, np.ones((1, 2, 2), dtype=complex))
+        assert rmse(zero, zero.copy()) == 0.0
+
     def test_frame_averaged_versus_pooled(self):
         x = np.ones((2, 1, 2), dtype=complex)
         xhat = x.copy()
         xhat[1] = 0.0
+        assert pooled_rmse(x, xhat) == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert rmse(x, xhat) == pytest.approx(0.5, rel=1e-12)
-        assert rmse(x, xhat, frame_averaged=False) == pytest.approx(
-            math.sqrt(0.5), rel=1e-12
-        )
 
     @given(st.integers(0, 2**32 - 1))
     def test_psnr_matches_pooled_rmse(self, seed):
@@ -83,7 +101,7 @@ class TestRmse:
         gen = np.random.default_rng(seed)
         x = nonneg_stack(gen) + 0.1
         xhat = nonneg_stack(gen)
-        expected = -20.0 * math.log10(rmse(x, xhat, frame_averaged=False))
+        expected = -20.0 * math.log10(pooled_rmse(x, xhat))
         assert psnr(x, xhat) == pytest.approx(expected, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))

@@ -34,9 +34,10 @@ class TestValidation:
         mask = as_mask(np.ones((1, 2, 2), dtype=np.int64))
         assert mask.dtype == np.uint8
 
-    def test_rejects_other_values(self):
+    @pytest.mark.parametrize("value", [2, 0.5, 1.7, 256, 257, math.nan])
+    def test_rejects_other_values(self, value):
         with pytest.raises(DimensionError):
-            as_mask(np.full((1, 2, 2), 2))
+            as_mask(np.full((1, 2, 2), value))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
