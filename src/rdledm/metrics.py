@@ -13,27 +13,35 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
-from .sequence import as_sequence
+from .sequence import _as_pair
 
 
-def _reference(truth: np.ndarray) -> tuple[np.ndarray, float]:
-    # The first two arguments of _psnr_rmse for reference stack truth:
-    # |truth| divided by its peak (left as it is when the peak is 0), and
-    # the peak.
+def _reference(truth: np.ndarray) -> tuple[np.ndarray, float, float]:
+    # The first three arguments of _psnr_rmse for reference stack truth:
+    # |truth| over its peak (as it is when the peak is 0), the peak, and
+    # the scale both stacks are measured at: 1, or 0.5 when a magnitude
+    # overflows, which brings every finite one (<= sqrt(2) * max float)
+    # into range and changes neither metric.
+    scale = 1.0
     ref = np.abs(truth)
     peak = float(ref.max())
+    if math.isinf(peak):
+        scale = 0.5
+        ref = np.abs(truth * scale)
+        peak = float(ref.max())
     if peak > 0.0:
         ref /= peak
-    return ref, peak
+    return ref, peak, scale
 
 
-def _psnr_rmse(ref: np.ndarray, peak: float, est: np.ndarray) -> tuple[float, float]:
-    # Trusted kernel behind every PSNR and RMSE: ref and peak come from
-    # _reference, est is a float64 buffer of the estimate's magnitudes of
-    # the same shape, which it overwrites. Both metrics are taken on the
-    # peak-scaled difference, so neither depends on the scale of the data;
-    # squares that overflow give the limiting values (-inf, inf).
+def _psnr_rmse(ref: np.ndarray, peak: float, scale: float, estimate: np.ndarray,
+               out: np.ndarray | None = None) -> tuple[float, float]:
+    # Trusted kernel behind every PSNR and RMSE: ref, peak and scale come
+    # from _reference, estimate is a complex128 stack of the same shape,
+    # out an optional float64 buffer for its magnitudes. Both metrics are
+    # taken on the peak-scaled difference, so neither depends on the scale
+    # of the data; squares that overflow give the limiting values.
+    est = np.abs(estimate if scale == 1.0 else estimate * scale, out=out)
     with np.errstate(over="ignore"):
         if peak > 0.0:
             est /= peak
@@ -53,11 +61,8 @@ def _psnr_rmse(ref: np.ndarray, peak: float, est: np.ndarray) -> tuple[float, fl
 
 def _score(truth, recon) -> tuple[float, float]:
     # (psnr(truth, recon), rmse(truth, recon)), validated here once.
-    truth = as_sequence(truth)
-    recon = as_sequence(recon)
-    if truth.shape != recon.shape:
-        raise DimensionError(f"shape mismatch: {truth.shape} vs {recon.shape}")
-    return _psnr_rmse(*_reference(truth), np.abs(recon))
+    truth, recon = _as_pair(truth, recon)
+    return _psnr_rmse(*_reference(truth), recon)
 
 
 def psnr(x, xhat) -> float:

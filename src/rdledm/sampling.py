@@ -9,7 +9,9 @@ low frequencies.
 
 Randomness is reproducible and frame-parallel: frame t of a mask or a
 noise realization depends only on (seed, t) through a dedicated PCG64
-substream, never on how many frames were drawn before it.
+substream, never on how many frames were drawn before it. A static mask
+draws frame 0 only, and one path repeats it for every pattern; the
+radial spoke search builds each spoke count it tries once.
 
 Mask files ("MASK1") mirror the sequence format: magic b"MASK1\\n", an
 ASCII "T m n" header line, then exactly T*m*n payload bytes, each 0 or 1.
@@ -17,12 +19,13 @@ ASCII "T m n" header line, then exactly T*m*n payload bytes, each 0 or 1.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DimensionError, FileFormatError, InfeasibleRatioError
-from .operators import dft2_adjoint, dft2_forward
+from .operators import _dft2, _idft2
 from .sequence import _read_payload, _write_payload, as_sequence
 
 MASK_MAGIC = b"MASK1\n"
@@ -43,6 +46,11 @@ def _frame_rng(seed: int, frame: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, frame))))
 
 
+def _binary(values: np.ndarray) -> bool:
+    # Every entry is 0 or 1, tested before any cast (which would wrap 256 to 0).
+    return bool(((values == 0) | (values == 1)).all())
+
+
 def as_mask(mask) -> np.ndarray:
     """Validate ``mask`` as a uint8 (T, m, n) stack of zeros and ones."""
     arr = np.asarray(mask)
@@ -50,10 +58,21 @@ def as_mask(mask) -> np.ndarray:
         raise DimensionError(f"expected a (frames, rows, cols) mask, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise DimensionError(f"all mask axes must be nonempty, got shape {arr.shape}")
-    # Checked before the cast, which would wrap 256 to 0 and truncate 0.5.
-    if not np.isin(arr, (0, 1)).all():
+    if not _binary(arr):
         raise DimensionError("mask entries must be 0 or 1")
+    # Every imaginary part is 0 here, so dropping it loses nothing.
+    if arr.dtype.kind == "c":
+        arr = arr.real
     return arr.astype(np.uint8, copy=False)
+
+
+def _as_stack_and_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
+    # A validated sequence (or k-space stack) and mask of one shape.
+    x = as_sequence(x)
+    mask = as_mask(mask)
+    if x.shape != mask.shape:
+        raise DimensionError(f"stack shape {x.shape} != mask shape {mask.shape}")
+    return x, mask
 
 
 def achieved_ratio(mask) -> float:
@@ -116,46 +135,41 @@ def _radial_frame(rows: int, cols: int, spokes: int, offset: float) -> np.ndarra
     return frame
 
 
-def _radial_mask(frames: int, rows: int, cols: int, ratio: float, seed: int,
-                 static: bool) -> np.ndarray:
-    draws = 1 if static else frames
+def _radial_mask(draws: int, rows: int, cols: int, ratio: float, seed: int) -> np.ndarray:
     units = [float(_frame_rng(seed, t).random()) for t in range(draws)]
 
     def build(spokes: int) -> np.ndarray:
-        stack = np.empty((draws, rows, cols), dtype=np.uint8)
-        for t, unit in enumerate(units):
-            # Offsets live in [0, pi/spokes): rotating further only
-            # permutes the spoke set.
-            stack[t] = _radial_frame(rows, cols, spokes, unit * np.pi / spokes)
-        return stack
+        # Offsets live in [0, pi/spokes): rotating further only permutes
+        # the spoke set.
+        return np.stack([_radial_frame(rows, cols, spokes, u * np.pi / spokes) for u in units])
+
+    # Each spoke count the search tries is built once; only the chosen
+    # one is built again, for the result.
+    @functools.cache
+    def fraction(spokes: int) -> float:
+        return float(build(spokes).mean())
 
     cap = 4 * (rows + cols)
     lo, hi = 1, 2
-    while hi < cap and build(hi).mean() < ratio:
+    while hi < cap and fraction(hi) < ratio:
         lo, hi = hi, hi * 2
     hi = min(hi, cap)
     # Smallest spoke count reaching the requested ratio; its neighbor
     # from below may land closer, so compare both.
     while lo < hi:
         mid = (lo + hi) // 2
-        if build(mid).mean() < ratio:
+        if fraction(mid) < ratio:
             lo = mid + 1
         else:
             hi = mid
-    best = min(
-        (s for s in (lo - 1, lo) if s >= 1),
-        key=lambda s: abs(float(build(s).mean()) - ratio),
-    )
-    stack = build(best)
-    error = abs(float(stack.mean()) - ratio)
+    best = min((s for s in (lo - 1, lo) if s >= 1), key=lambda s: abs(fraction(s) - ratio))
+    error = abs(fraction(best) - ratio)
     if error > RADIAL_RATIO_TOLERANCE:
         raise InfeasibleRatioError(
             f"radial pattern cannot reach ratio {ratio} on a {rows}x{cols} grid; "
             f"closest achievable is off by {error:.4f}"
         )
-    if static:
-        stack = np.broadcast_to(stack[0], (frames, rows, cols)).copy()
-    return stack
+    return build(best)
 
 
 def _random2d_frame(rng, rows: int, cols: int, ratio: float) -> np.ndarray:
@@ -202,17 +216,15 @@ def make_mask(pattern: str, frames: int, rows: int, cols: int, ratio: float,
     if ratio == 1.0:
         return np.ones((frames, rows, cols), dtype=np.uint8)
 
+    draws = 1 if static else frames
     if pattern == "radial":
-        centered = _radial_mask(frames, rows, cols, ratio, seed, static)
+        centered = _radial_mask(draws, rows, cols, ratio, seed)
     else:
         draw = _cartesian_frame if pattern == "cartesian" else _random2d_frame
-        centered = np.empty((frames, rows, cols), dtype=np.uint8)
-        draws = 1 if static else frames
-        for t in range(draws):
-            centered[t] = draw(_frame_rng(seed, t), rows, cols, ratio)
-        if static:
-            centered[1:] = centered[0]
-    return np.fft.ifftshift(centered, axes=(1, 2))
+        centered = np.stack([draw(_frame_rng(seed, t), rows, cols, ratio) for t in range(draws)])
+    mask = np.fft.ifftshift(centered, axes=(1, 2))
+    # A static mask repeats its one frame into an owned C-order stack.
+    return mask if draws == frames else np.repeat(mask, frames, axis=0)
 
 
 def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
@@ -223,13 +235,10 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     zeroed, so the retained measurements are genuinely noisy.
     ``sigma=0`` reproduces the noiseless masked spectrum exactly.
     """
-    x = as_sequence(x)
-    mask = as_mask(mask)
-    if x.shape != mask.shape:
-        raise DimensionError(f"sequence shape {x.shape} != mask shape {mask.shape}")
+    x, mask = _as_stack_and_mask(x, mask)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    k = dft2_forward(x)
+    k = _dft2(x)
     if sigma > 0:
         shape = x.shape[1:]
         for t in range(x.shape[0]):
@@ -241,20 +250,14 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
 
 def forward_op(x, mask) -> np.ndarray:
     """Masked unitary DFT: the acquisition operator without noise."""
-    x = as_sequence(x)
-    mask = as_mask(mask)
-    if x.shape != mask.shape:
-        raise DimensionError(f"sequence shape {x.shape} != mask shape {mask.shape}")
-    return dft2_forward(x) * mask
+    x, mask = _as_stack_and_mask(x, mask)
+    return _dft2(x) * mask
 
 
 def adjoint_op(b, mask) -> np.ndarray:
     """Adjoint of :func:`forward_op`: re-mask, then inverse DFT."""
-    b = as_sequence(b)
-    mask = as_mask(mask)
-    if b.shape != mask.shape:
-        raise DimensionError(f"data shape {b.shape} != mask shape {mask.shape}")
-    return dft2_adjoint(b * mask)
+    b, mask = _as_stack_and_mask(b, mask)
+    return _idft2(b * mask)
 
 
 def zero_fill(b, mask) -> np.ndarray:
@@ -272,6 +275,6 @@ def read_mask(path) -> np.ndarray:
     """Read a MASK1 file, validating magic, header, payload size, values."""
     dims, payload = _read_payload(path, MASK_MAGIC, 1)
     flat = np.frombuffer(payload, dtype=np.uint8)
-    if not np.isin(flat, (0, 1)).all():
+    if not _binary(flat):
         raise FileFormatError(f"{path}: payload bytes must all be 0 or 1")
     return flat.reshape(dims).copy()

@@ -57,6 +57,15 @@ def as_sequence(data, copy: bool = False) -> np.ndarray:
     return arr.copy() if copy else arr
 
 
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    # Two validated sequences of one shape.
+    a = as_sequence(a)
+    b = as_sequence(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def frobenius_norm(x) -> float:
     """Square root of the sum of squared magnitudes over the whole stack."""
     return float(np.linalg.norm(as_sequence(x).ravel()))
@@ -68,10 +77,7 @@ def inner_product(a, b) -> complex:
     The first argument is conjugated, so ``inner_product(x, x)`` is real
     and equals ``frobenius_norm(x) ** 2``.
     """
-    a = as_sequence(a)
-    b = as_sequence(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a, b = _as_pair(a, b)
     return complex(np.vdot(a, b))
 
 
@@ -99,19 +105,14 @@ def from_casorati(matrix, rows: int, cols: int) -> np.ndarray:
 
 
 def _read_header_line(handle, path) -> bytes:
-    # Read up to a newline without consuming payload bytes; the header
-    # is short, so a byte-at-a-time loop is fine and keeps the file
-    # position exact for the binary payload that follows.
-    line = bytearray()
-    while True:
-        ch = handle.read(1)
-        if not ch:
-            raise HeaderError(f"{path}: unexpected end of file inside the header")
-        line += ch
-        if ch == b"\n":
-            return bytes(line)
-        if len(line) > 128:
-            raise HeaderError(f"{path}: header line longer than 128 bytes")
+    # Up to 128 bytes and the newline; readline stops right after the
+    # newline, so the file position is exact for the payload that follows.
+    line = handle.readline(129)
+    if line.endswith(b"\n"):
+        return line
+    if len(line) > 128:
+        raise HeaderError(f"{path}: header line longer than 128 bytes")
+    raise HeaderError(f"{path}: unexpected end of file inside the header")
 
 
 def _parse_dims(line: bytes, path) -> tuple[int, int, int]:

@@ -47,8 +47,8 @@ from .operators import (
     _project_linf_ball,
     _svt,
 )
-from .sampling import as_mask
-from .sequence import as_sequence
+from .sampling import _as_stack_and_mask
+from .sequence import _as_pair
 
 # Spectral norm of the measurement operator (unitary DFT composed with a
 # binary mask); exact, not estimated.
@@ -174,10 +174,7 @@ def relative_error(x_next, x_prev) -> float:
     finite for any finite stacks, even where the squared norms overflow
     or underflow.
     """
-    x_next = as_sequence(x_next)
-    x_prev = as_sequence(x_prev)
-    if x_next.shape != x_prev.shape:
-        raise DimensionError(f"shape mismatch: {x_next.shape} vs {x_prev.shape}")
+    x_next, x_prev = _as_pair(x_next, x_prev)
     return _relative_error(x_next, x_prev, _squared_norm(x_next - x_prev),
                            _squared_norm(x_prev))
 
@@ -366,19 +363,12 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # Inputs are validated here, once; the loop then runs the trusted
     # kernels behind the public operators on complex128 stacks, writing
     # into buffers allocated once per solve.
-    data = as_sequence(data)
-    mask = as_mask(mask)
-    if data.shape != mask.shape:
-        raise DimensionError(f"data shape {data.shape} != mask shape {mask.shape}")
+    data, mask = _as_stack_and_mask(data, mask)
     frames, rows, cols = data.shape
     if rows < 2 or cols < 2:
         raise DimensionError(f"frames must be at least 2x2 for differences, got {data.shape}")
     if reference is not None:
-        reference = as_sequence(reference)
-        if reference.shape != data.shape:
-            raise DimensionError(
-                f"reference shape {reference.shape} != data shape {data.shape}"
-            )
+        reference = _as_pair(reference, data)[0]
 
     denom = 1.0 + config.t1 * OPERATOR_NORM
     fidelity_step = config.t1 / denom
@@ -412,7 +402,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
 
     track = reference is not None
     if track:
-        ref_magnitude, ref_peak = _reference(reference)
+        ref_terms = _reference(reference)
         magnitude = np.empty(data.shape)
     re_series: list[float] = []
     psnr_series: list[float] = []
@@ -470,8 +460,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
 
             psnr_value = rmse_value = None
             if track:
-                np.abs(state.x, out=magnitude)
-                psnr_value, rmse_value = _psnr_rmse(ref_magnitude, ref_peak, magnitude)
+                psnr_value, rmse_value = _psnr_rmse(*ref_terms, state.x, magnitude)
                 psnr_series.append(psnr_value)
                 rmse_series.append(rmse_value)
             if on_iteration is not None:

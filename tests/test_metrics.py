@@ -61,6 +61,13 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(zero, np.ones((1, 2, 2), dtype=complex))
 
+    def test_reference_magnitude_overflowing_float64(self):
+        # |x| is about 2.1e308, beyond float64, though x itself is finite.
+        x = np.full((1, 2, 2), 1.5e308 + 1.5e308j)
+        assert psnr(x, 0.5 * x) == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
+        assert rmse(x, 0.5 * x) == pytest.approx(0.5, rel=1e-12)
+        assert psnr(x, x.copy()) == math.inf
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
             psnr(random_sequence(rng, 1, 2, 2), random_sequence(rng, 1, 2, 3))

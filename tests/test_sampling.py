@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdledm import operators, sampling
 from rdledm.errors import (
     BadMagicError,
     DimensionError,
@@ -34,10 +36,23 @@ class TestValidation:
         mask = as_mask(np.ones((1, 2, 2), dtype=np.int64))
         assert mask.dtype == np.uint8
 
-    @pytest.mark.parametrize("value", [2, 0.5, 1.7, 256, 257, math.nan])
+    @pytest.mark.parametrize("value", [
+        2, 0.5, 1.7, 256, 257, math.nan, -1, pytest.param("1", id="str-1"), None, 1 + 1j,
+    ])
     def test_rejects_other_values(self, value):
         with pytest.raises(DimensionError):
             as_mask(np.full((1, 2, 2), value))
+
+    def test_rejects_object_stack(self):
+        with pytest.raises(DimensionError):
+            as_mask(np.array([[[None, 1 + 1j]]], dtype=object))
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.complex128, object])
+    def test_accepts_zero_one_stacks(self, dtype):
+        # No ComplexWarning for a complex stack: the suite turns warnings into errors.
+        mask = as_mask(np.array([[[0, 1], [1, 0]]], dtype=dtype))
+        assert mask.dtype == np.uint8
+        assert mask.tolist() == [[[0, 1], [1, 0]]]
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
@@ -254,9 +269,10 @@ class TestMaskFiles:
 
     def test_non_binary_payload(self, tmp_path):
         path = tmp_path / "m.mask"
-        path.write_bytes(b"MASK1\n1 1 2\n\x00\x02")
-        with pytest.raises(FileFormatError):
-            read_mask(path)
+        for byte in (b"\x02", b"\xff"):
+            path.write_bytes(b"MASK1\n1 1 2\n\x00" + byte)
+            with pytest.raises(FileFormatError):
+                read_mask(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.mask"
@@ -275,3 +291,91 @@ class TestMaskFiles:
         path.write_bytes(b"MASK1\n1 1 2\n\x00\x01\x00")
         with pytest.raises(PayloadSizeError):
             read_mask(path)
+
+
+# SHA-256 of make_mask(pattern, 5, 37, 50, ratio, seed=17, static=static),
+# an odd grid on which every pattern shifts unevenly to DFT order.
+PINNED_MASKS = {
+    ("cartesian", 0.3, False): "495a9cc8cafc5eb493b9080f0d1cbea3073f05d4c891560b7c1037835ae2dc64",
+    ("cartesian", 0.3, True): "4454c0ce785107c903e94037734c07d827aabc31b9fc4a265df5c42a5fbb0802",
+    ("cartesian", 0.65, False): "a939c4dbfedaaf37d9572a1c07fe0d1539c5b6ee80cc8470f35cd6bdf1864a66",
+    ("cartesian", 0.65, True): "0ed8a0732ae6ec87d364f6e5fd5f681ddbb4b37329d461fd27138fdf05891cdf",
+    ("radial", 0.3, False): "1bcd71d4a54a5e81734f424bf1d27e4a51e59aca8056aad49fb3ba22e0bc6c6e",
+    ("radial", 0.3, True): "7ff9fa717933c6c81534e38fdf33939d11a50fd61d85038ecdfcf6f77925aab8",
+    ("radial", 0.65, False): "9eb4e07e8b31b27aa3331745aa6578b076beba3fee8947fe6f50c6b16833c8dd",
+    ("radial", 0.65, True): "7bf2f76f77bd1d2a98ffbf4fbd69882c7932ba09c7ea447b3ec55a3202039d2d",
+    ("random2d", 0.3, False): "9a17b7009a7815a3572d974027026df8163d46d1f2ad46b604c6710074b865a0",
+    ("random2d", 0.3, True): "18785ed22a741824ac3dd3aca58a602ff2b6c711fd270bab00844bb72944515d",
+    ("random2d", 0.65, False): "6b14575b73eaceb3e3afa2bebce724ebc9a2d4d48924d06900c65a3491c7783a",
+    ("random2d", 0.65, True): "82b500c6070ea0152421fe810b6ced9914e378ba625aa539fb6a6e3eeeea7aa1",
+}
+# SHA-256 of measure(pinned_sequence(), radial 0.3 dynamic mask, sigma, seed=23).
+PINNED_MEASURE = {
+    0.1: "4953a33575b3dcba81ba7935ce6d0262b0e64bd7c62528416ac582cdcde13a52",
+    0.0: "557935086464c9cd227673741e6def225a0bb6036630f4e83417ab9dc5f08c96",
+}
+
+
+def pinned_sequence():
+    i = np.arange(5 * 37 * 50, dtype=float).reshape(5, 37, 50)
+    return (i % 7) + 1j * (i % 5)
+
+
+def sha256(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+class TestPinnedAcquisition:
+    @pytest.mark.parametrize("key", sorted(PINNED_MASKS))
+    def test_mask_bytes(self, key):
+        pattern, ratio, static = key
+        mask = make_mask(pattern, 5, 37, 50, ratio, seed=17, static=static)
+        assert mask.dtype == np.uint8 and mask.shape == (5, 37, 50)
+        assert sha256(mask) == PINNED_MASKS[key]
+        assert mask.flags.c_contiguous and mask.flags.owndata and mask.flags.writeable
+
+    @pytest.mark.parametrize("sigma", sorted(PINNED_MEASURE))
+    def test_measure_bytes(self, sigma):
+        mask = make_mask("radial", 5, 37, 50, 0.3, seed=17)
+        assert sha256(measure(pinned_sequence(), mask, sigma, seed=23)) == PINNED_MEASURE[sigma]
+
+    @pytest.mark.parametrize("call", [
+        lambda x, m: measure(x, m, 0.1, seed=1),
+        forward_op,
+        adjoint_op,
+    ], ids=["measure", "forward_op", "adjoint_op"])
+    def test_inputs_validated_once(self, monkeypatch, call):
+        # Counted in every namespace that validates on the way to the FFT.
+        calls = {"as_sequence": 0, "as_mask": 0}
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((sampling, "as_sequence"), (operators, "as_sequence"),
+                             (sampling, "as_mask")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        call(pinned_sequence(), make_mask("cartesian", 5, 37, 50, 0.3, seed=17))
+        assert calls == {"as_sequence": 1, "as_mask": 1}
+
+    @pytest.mark.parametrize("shape,static", [((20, 128, 128), False), ((3, 37, 50), False),
+                                              ((1, 96, 64), False), ((6, 64, 48), True)])
+    def test_radial_search_builds_each_spoke_count_once(self, monkeypatch, shape, static):
+        frames, rows, cols = shape
+        draws = 1 if static else frames
+        spokes = []
+        radial_frame = sampling._radial_frame
+
+        def counting(rows, cols, count, offset):
+            spokes.append(count)
+            return radial_frame(rows, cols, count, offset)
+
+        monkeypatch.setattr(sampling, "_radial_frame", counting)
+        make_mask("radial", frames, rows, cols, 0.25, seed=5, static=static)
+        builds = spokes[::draws]
+        assert len(spokes) == draws * len(builds)
+        # every count once, then the chosen one again for the result
+        assert len(builds) == len(set(builds)) + 1
+        assert builds[-1] in builds[:-1]

@@ -203,6 +203,29 @@ class TestFileFormat:
         with pytest.raises(HeaderError):
             read_sequence(path)
 
+    # A 128-byte header line: "1 1 " and a zero-padded 1 of 124 digits.
+    LONGEST_HEADER = b"1 1 " + b"0" * 123 + b"1"
+
+    def test_longest_header_accepted(self, tmp_path):
+        assert len(self.LONGEST_HEADER) == 128
+        path = tmp_path / "hdr.dseq"
+        payload = np.array([1.5, -2.0], dtype="<f8").tobytes()
+        path.write_bytes(b"DSEQ1\n" + self.LONGEST_HEADER + b"\n" + payload)
+        assert read_sequence(path).tobytes() == payload
+
+    def test_header_of_129_bytes_rejected(self, tmp_path):
+        path = tmp_path / "hdr.dseq"
+        path.write_bytes(b"DSEQ1\n0" + self.LONGEST_HEADER + b"\n" + b"\0" * 16)
+        with pytest.raises(HeaderError, match="longer than 128 bytes"):
+            read_sequence(path)
+
+    @pytest.mark.parametrize("header", [b"1 1 1", b"", LONGEST_HEADER])
+    def test_end_of_file_inside_header(self, tmp_path, header):
+        path = tmp_path / "hdr.dseq"
+        path.write_bytes(b"DSEQ1\n" + header)
+        with pytest.raises(HeaderError, match="unexpected end of file"):
+            read_sequence(path)
+
     def test_truncated_payload(self, rng, tmp_path):
         x = random_sequence(rng, 1, 2, 2)
         path = tmp_path / "short.dseq"

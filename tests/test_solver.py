@@ -13,7 +13,7 @@ from rdledm.errors import CallbackError, DimensionError, DivergenceError
 from rdledm.experiment import load_experiment_config
 from rdledm.phantom import PhantomSpec, generate_phantom, phantom_preset
 from rdledm.sampling import make_mask, measure, zero_fill
-from rdledm.metrics import rmse
+from rdledm.metrics import psnr, rmse
 from rdledm import solver
 from rdledm.solver import (
     SolverConfig,
@@ -163,6 +163,15 @@ class TestSolveMechanics:
         assert len(report.psnr_series) == 5
         assert len(report.rmse_series) == 5
         assert all(v > 0 for v in report.rmse_series)
+
+    def test_tracking_against_overflowing_reference(self, small_problem):
+        # every part is finite, but every magnitude overflows float64
+        _, mask, data = small_problem
+        reference = np.full(data.shape, 1.5e308 + 1.5e308j)
+        report = rdledm_solve(data, mask, run_config(max_iters=3), reference=reference)
+        assert all(math.isfinite(v) for v in report.psnr_series + report.rmse_series)
+        assert report.psnr_series[-1] == psnr(reference, report.reconstruction)
+        assert report.rmse_series[-1] == rmse(reference, report.reconstruction)
 
     def test_tracking_disabled(self, small_problem):
         # without a reference the callback sees no PSNR/RMSE either
