@@ -76,14 +76,6 @@ def dft2_adjoint(k) -> np.ndarray:
     return _idft2(as_sequence(k))
 
 
-def _grad_forward(x: np.ndarray, out: DualField | None = None) -> DualField:
-    if out is None:
-        out = DualField.zeros(*x.shape)
-    np.subtract(x[:, :-1, :], x[:, 1:, :], out=out.p)
-    np.subtract(x[:, :, :-1], x[:, :, 1:], out=out.q)
-    return out
-
-
 def grad_forward(x) -> DualField:
     """Forward differences of each frame.
 
@@ -94,7 +86,7 @@ def grad_forward(x) -> DualField:
     x = as_sequence(x)
     if x.shape[1] < 2 or x.shape[2] < 2:
         raise DimensionError(f"frames must be at least 2x2 for differences, got {x.shape}")
-    return _grad_forward(x)
+    return DualField(x[:, :-1, :] - x[:, 1:, :], x[:, :, :-1] - x[:, :, 1:])
 
 
 def _grad_adjoint(y: DualField, out: np.ndarray | None = None) -> np.ndarray:
@@ -102,6 +94,21 @@ def _grad_adjoint(y: DualField, out: np.ndarray | None = None) -> np.ndarray:
     frames, rows_minus, cols = p.shape
     if out is None:
         out = np.empty((frames, rows_minus + 1, cols), dtype=np.complex128)
+    if q.shape[2] == cols:
+        # The solve loop's layout: q padded to (T, m, n) with a zero last
+        # column, and every array C-contiguous. The row terms take one
+        # subtract pass; the column terms run on the flattened stack,
+        # where the entry before the first of each row is a padded zero.
+        # The values are those of the zero-filled accumulation below, but
+        # a zero may differ in sign (-p is not 0 - p, and x + 0 is not x
+        # for x = -0).
+        out[:, 0, :] = p[:, 0, :]
+        np.subtract(p[:, 1:, :], p[:, :-1, :], out=out[:, 1:-1, :])
+        np.negative(p[:, -1, :], out=out[:, -1, :])
+        out_flat, q_flat = out.reshape(-1), q.reshape(-1)
+        out_flat += q_flat
+        out_flat[1:] -= q_flat[:-1]
+        return out
     # Only the last row is zero-filled; the others start as 0 + p, with
     # no fill pass. Every entry is evaluated in the order of a fully
     # zero-filled accumulation, so even the signs of zeros match it
@@ -142,43 +149,120 @@ class _NonFiniteInput(Exception):
     """Raised by :func:`_svt` when its input holds a NaN or an infinity."""
 
 
-def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None) -> np.ndarray:
+# Pixel columns of the (T, m*n) Casorati view per partial Gram matrix. A
+# tile of up to 60 frames and its conjugate stay in a core's cache while
+# the tile is scaled, conjugated and multiplied; the partition does not
+# depend on the worker count, so neither do the partial sums.
+_GRAM_TILE = 1024
+
+
+def _whole(kernel, count: int) -> None:
+    # The serial split: kernel(part) on the single part range(count).
+    kernel(slice(0, count))
+
+
+def _svt_zero(x, zero, out):
+    # The exactly zero result: `zero` if the caller gave one, else `out`
+    # (or a new stack) filled with zeros.
+    if zero is not None:
+        return zero
+    if out is None:
+        return np.zeros_like(x)
+    out.fill(0.0)
+    return out
+
+
+def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
+         out: np.ndarray | None = None, split=_whole) -> np.ndarray:
     # Trusted kernel behind svt: x is a complex128 (T, m, n) stack and
     # threshold >= 0. Row t of `flat` is frame t, so `flat` is the
     # Casorati matrix C transposed. When no singular value exceeds the
-    # threshold the result is exactly zero, and no product is formed: it
+    # threshold the result is exactly zero, and no rebuild is formed: it
     # is `zero` if given (a zero stack the caller keeps and never writes
-    # to, so it can tell that result by identity), else a new zero stack.
-    flat = np.ascontiguousarray(x).reshape(x.shape[0], -1)
+    # to, so it can tell that result by identity), else zeros written to
+    # `out` or to a new stack. Otherwise the result is written to `out`
+    # (a C-contiguous stack that does not overlap x) or to a new stack.
+    # `split(kernel, count)` runs kernel(part) on contiguous parts that
+    # cover range(count), possibly in parallel; it carries the per-frame
+    # extremes and both O(m*n*T^2) products, over groups of whole tiles.
+    # The T x T steps (sum of the partial Grams, eigh, shrink) stay on the
+    # calling thread.
+    frames = x.shape[0]
+    flat = np.ascontiguousarray(x).reshape(frames, -1)
     # C is divided by its largest real or imaginary part, so that neither
     # ||C||_F nor the Gram matrix C^H C overflows or underflows for any
     # finite input (squaring raw entries above ~1e154 overflows). The
     # division runs on the float64 view: the same values as a complex
     # division by a real scale, several times faster.
     parts = flat.view(np.float64)
-    scale = max(float(parts.max()), -float(parts.min()))
-    # Both reductions propagate NaN and reach inf on an infinite part, so
+    highs, lows = np.empty(frames), np.empty(frames)
+
+    def extremes(block: slice) -> None:
+        np.max(parts[block], axis=1, out=highs[block])
+        np.min(parts[block], axis=1, out=lows[block])
+
+    split(extremes, frames)
+    scale = max(float(highs.max()), -float(lows.min()))
+    # The reductions propagate NaN and reach inf on an infinite part, so
     # this is the finiteness check, before any other arithmetic.
     if not math.isfinite(scale):
         raise _NonFiniteInput("singular value thresholding of a non-finite stack")
-    scaled = parts / scale if scale > 0.0 else parts
-    # No singular value can exceed ||C||_F: the result is exactly zero.
-    if scale * np.linalg.norm(scaled) <= threshold:
-        return np.zeros_like(x) if zero is None else zero
-    scaled = scaled.view(np.complex128)
+    # Every entry has modulus <= sqrt(2) * scale, so ||C||_F <=
+    # sqrt(2 * entries) * scale, and no singular value exceeds ||C||_F.
+    # This also covers the zero stack (scale 0) and threshold +inf.
+    if math.sqrt(2.0 * flat.size) * scale <= threshold:
+        return _svt_zero(x, zero, out)
+
+    pixels = flat.shape[1]
+    tiles = -(-pixels // _GRAM_TILE)
+    partial = np.empty((tiles, frames, frames), dtype=np.complex128)
+
+    def gram(group: slice) -> None:
+        # One partial Gram per tile, from the tile divided by the scale
+        # and its conjugate, both formed while the tile is in cache.
+        buffer = np.empty((2, frames, _GRAM_TILE), dtype=np.complex128)
+        for tile in range(group.start, group.stop):
+            lo = tile * _GRAM_TILE
+            hi = min(lo + _GRAM_TILE, pixels)
+            scaled = buffer[0, :, :hi - lo]
+            conjugate = buffer[1, :, :hi - lo]
+            np.divide(parts[:, 2 * lo:2 * hi], scale, out=scaled.view(np.float64))
+            np.conjugate(scaled, out=conjugate)
+            np.matmul(conjugate, scaled.T, out=partial[tile])
+
+    split(gram, tiles)
+    # Added in tile order, so the sum does not depend on the grouping.
+    gram_matrix = partial.sum(axis=0)
+    # ||C||_F from the trace: again, no singular value can exceed it.
+    if scale * math.sqrt(float(gram_matrix.diagonal().real.sum())) <= threshold:
+        return _svt_zero(x, zero, out)
     try:
-        eigenvalues, vectors = np.linalg.eigh(scaled.conj() @ scaled.T)
+        eigenvalues, vectors = np.linalg.eigh(gram_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed during singular value thresholding") from exc
     sigma = scale * np.sqrt(np.maximum(eigenvalues, 0.0))
     keep = sigma > threshold
     if not keep.any():
-        return np.zeros_like(x) if zero is None else zero
+        return _svt_zero(x, zero, out)
     factor = np.zeros_like(sigma)
     factor[keep] = 1.0 - threshold / sigma[keep]
-    # C V diag(factor) V^H, written for the transposed layout.
-    shrink = (vectors * factor) @ vectors.conj().T
-    return (shrink.T @ flat).reshape(x.shape)
+    # C V diag(factor) V^H, written for the transposed layout. Each group
+    # of whole tiles is one product. BLAS forms every column of a product
+    # by the same sum over frames, whichever other columns share the
+    # product, so the result does not depend on the grouping (the tests
+    # check this; cutting the rows of the product instead does change
+    # bits).
+    shrink_t = ((vectors * factor) @ vectors.conj().T).T
+    if out is None:
+        out = np.empty_like(x)
+    out_flat = out.reshape(frames, -1)
+
+    def rebuild(group: slice) -> None:
+        columns = slice(group.start * _GRAM_TILE, min(group.stop * _GRAM_TILE, pixels))
+        np.matmul(shrink_t, flat[:, columns], out=out_flat[:, columns])
+
+    split(rebuild, tiles)
+    return out
 
 
 def svt(x, threshold: float) -> np.ndarray:

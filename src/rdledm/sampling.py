@@ -60,9 +60,11 @@ def as_mask(mask) -> np.ndarray:
         raise DimensionError(f"all mask axes must be nonempty, got shape {arr.shape}")
     if not _binary(arr):
         raise DimensionError("mask entries must be 0 or 1")
-    # Every imaginary part is 0 here, so dropping it loses nothing.
-    if arr.dtype.kind == "c":
-        arr = arr.real
+    # Every imaginary part is 0 here, so dropping it loses nothing. Object
+    # stacks take the same way: the uint8 cast would call int() on each
+    # entry, which fails for a Python complex zero.
+    if arr.dtype.kind in "cO":
+        arr = arr.astype(np.complex128, copy=False).real
     return arr.astype(np.uint8, copy=False)
 
 

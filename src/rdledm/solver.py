@@ -41,7 +41,6 @@ from .operators import (
     DualField,
     _dft2,
     _grad_adjoint,
-    _grad_forward,
     _idft2,
     _NonFiniteInput,
     _project_linf_ball,
@@ -186,11 +185,12 @@ def _divergence(iteration: int) -> DivergenceError:
     )
 
 
-def _checked_svt(x, threshold, iteration, zero=None):
+def _checked_svt(x, threshold, iteration, zero=None, **workspace):
     # Blow-ups are caught before they reach the SVT's decomposition,
-    # which would otherwise fail with an unhelpful error.
+    # which would otherwise fail with an unhelpful error. `workspace`
+    # (out=, split=) goes to _svt unchanged.
     try:
-        return _svt(x, threshold, zero)
+        return _svt(x, threshold, zero, **workspace)
     except _NonFiniteInput:
         raise _divergence(iteration) from None
 
@@ -281,29 +281,29 @@ def _worker_count(frames: int, rows: int, cols: int) -> int:
 
 
 class _FrameBlocks:
-    """Runs a frame-wise kernel on contiguous frame blocks in parallel.
+    """Runs a kernel on contiguous parts of an axis, one part per worker.
 
-    The stacks passed to :meth:`run` are cut along the frame axis into
-    one block per worker; the calling thread computes the first block
-    and pool threads the rest. Each frame's result depends on that frame
-    alone, so it is bit-identical for any split. On one worker there is
-    no pool; otherwise it lives only as long as the ``with`` block of one
-    solve.
+    :meth:`split` cuts ``range(count)`` into one contiguous part per
+    worker (none empty); the calling thread runs the first part and pool
+    threads the rest. :meth:`run` splits the frame axis of the stacks it
+    is given; the SVT splits its pixel tiles. Every kernel writes each
+    entry of its part from that part's inputs alone, and the cut does not
+    change what a frame or a tile computes, so results are bit-identical
+    for any worker count. On one worker there is no pool; otherwise it
+    lives only as long as the ``with`` block of one solve.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
-        frames = shape[0]
-        workers = _worker_count(*shape)
-        edges = [frames * w // workers for w in range(workers + 1)]
-        self._blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        self._frames = shape[0]
+        self._workers = _worker_count(*shape)
         self._pool = None
-        if workers > 1:
+        if self._workers > 1:
             # Imported here: a process that never runs a pool (most CLI
             # commands, small solves) does not load the thread-pool
             # modules, about 0.6 MB resident.
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(workers - 1)
+            self._pool = ThreadPoolExecutor(self._workers - 1)
 
     def __enter__(self) -> "_FrameBlocks":
         return self
@@ -312,16 +312,18 @@ class _FrameBlocks:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def run(self, kernel, *stacks: np.ndarray, **params) -> None:
-        # Stacks are cut into blocks; keyword parameters go to every block.
-        first, *rest = self._blocks
-        jobs = [
-            self._pool.submit(kernel, *(stack[block] for stack in stacks), **params)
-            for block in rest
-        ]
-        kernel(*(stack[first] for stack in stacks), **params)
+    def split(self, kernel, count: int) -> None:
+        edges = [count * w // self._workers for w in range(self._workers + 1)]
+        first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        jobs = [self._pool.submit(kernel, part) for part in rest]
+        kernel(first)
         for job in jobs:
             job.result()
+
+    def run(self, kernel, *stacks: np.ndarray, **params) -> None:
+        # Stacks are cut into frame blocks; keyword parameters go to every block.
+        self.split(lambda block: kernel(*(stack[block] for stack in stacks), **params),
+                   self._frames)
 
 
 def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
@@ -330,7 +332,7 @@ def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
     # out <- x - step * F^H (M F x - M b) - transport, evaluated in that
     # order, with k as scratch. For a 0/1 mask M, F^H (M F x - M b)
     # equals F^H ((M F x - b) M), the gradient of 1/2 ||A x - b||^2,
-    # whether or not b was masked.
+    # whether or not b was masked. q is padded (see _dual_block).
     _grad_adjoint(DualField(p, q), out=transport)
     transport *= tv_step
     _dft2(x, out=k)
@@ -342,20 +344,33 @@ def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
     out -= transport
 
 
-def _dual_block(x_next, x, p, q, ascent_p, ascent_q, lookahead, x_prime=None, *,
+def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
                 step) -> None:
-    # For one frame block: y <- proj(y + step * grad(2 x_next (+ x') - x)),
-    # evaluated in that order, with ascent as scratch. Each block decides
-    # for itself whether its projection can return at once; where it does,
-    # every factor of a whole-field projection would be exactly 1 there.
-    np.multiply(x_next, 2.0, out=lookahead)
+    # For one frame block: next_sq and change_sq <- per-frame ||x_next||^2
+    # and ||x_next - x||^2, then y <- proj(y + grad(step * ((x_next - x)
+    # + x_next (+ x')))), evaluated in that order, the differences added
+    # straight into y. q is padded to (T, m, n) with a zero last column:
+    # its column differences run on the flattened block, and the entries
+    # they write into the last column (differences across a row or frame
+    # boundary) are zeroed again before the projection. Each block
+    # decides for itself whether its projection can return at once; where
+    # it does, every factor of a whole-field projection would be exactly 1.
+    np.subtract(x_next, x, out=lookahead)
+    # Overflowing squares are handled by the caller.
+    with np.errstate(over="ignore"):
+        for stack, norms in ((x_next, next_sq), (lookahead, change_sq)):
+            parts = stack.reshape(len(stack), -1).view(np.float64)
+            np.vecdot(parts, parts, out=norms)
+    lookahead += x_next
     if x_prime is not None:
         lookahead += x_prime
-    lookahead -= x
-    _grad_forward(lookahead, out=DualField(ascent_p, ascent_q))
-    for y_part, ascent_part in ((p, ascent_p), (q, ascent_q)):
-        ascent_part *= step
-        y_part += ascent_part
+    lookahead *= step
+    p += lookahead[:, :-1, :]
+    p -= lookahead[:, 1:, :]
+    q_flat, lookahead_flat = q.reshape(-1), lookahead.reshape(-1)
+    q_flat[:-1] += lookahead_flat[:-1]
+    q_flat[:-1] -= lookahead_flat[1:]
+    q[:, :, -1] = 0.0
     _project_linf_ball(DualField(p, q))
 
 
@@ -385,20 +400,25 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # eps for as long as the eps SVT returns its exact zero stack. Never
     # written to, so the loop can test `state.eps is zero`.
     zero = np.zeros_like(init)
-    state = SolverState(
-        x=init,
-        x_prime=init.copy(),
-        eps=zero,
-        y=DualField.zeros(frames, rows, cols),
-    )
+    # y.q is kept padded to (T, m, n) with a zero last column, so the
+    # column differences of both gradient kernels run on contiguous
+    # memory; final_state.y has the public shapes.
+    p = np.zeros((frames, rows - 1, cols), dtype=np.complex128)
+    q = np.zeros((frames, rows, cols), dtype=np.complex128)
+    state = SolverState(x=init, x_prime=init.copy(), eps=zero, y=DualField(p, q))
     # Reused every iteration: scratch (k-space inside the FFT pair, then
     # any temporary), the primal point being built (x_bar, then the
-    # lookahead), the scaled transport tv_step * grad_adjoint(y) and the
-    # dual ascent.
+    # lookahead), the scaled transport tv_step * grad_adjoint(y), the
+    # next iterate (it alternates with x, whose old values are dead once
+    # the dual step has run), eps while it is not the zero stack, and the
+    # per-frame squared norms of x_next and x_next - x.
     scratch = np.empty_like(init)
     x_bar = np.empty_like(init)
     transport = np.empty_like(init)
-    ascent = DualField.zeros(frames, rows, cols)
+    x_spare = np.empty_like(init)
+    eps_out = np.empty_like(init) if error_split else None
+    next_sq = np.empty(frames)
+    change_sq = np.empty(frames)
 
     track = reference is not None
     if track:
@@ -410,18 +430,21 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     terminated_by = "max-iters"
     started = time.perf_counter()
 
-    # One thread budget: BLAS on one thread, and every frame-wise stage in
-    # one of two frame-block kernels per iteration. The calling thread
-    # keeps the SVTs, the tau terms, the relative error and PSNR/RMSE.
-    # Finiteness is checked without scans of its own: _svt tests its input
-    # through the extremes it takes anyway, and x_next is scanned only
-    # when its squared norm is not finite.
+    # One thread budget: BLAS on one thread, and the workers of
+    # _FrameBlocks run the two frame-block kernels and, in each SVT, the
+    # per-frame extremes and both products (on groups of pixel tiles).
+    # The calling thread keeps the T x T steps of the SVTs (partial Gram
+    # sum, eigh, shrink), the tau terms, the sums of the per-frame norms,
+    # the relative error and PSNR/RMSE. Finiteness is checked without
+    # scans of its own: _svt tests its input through the extremes it
+    # takes anyway, and x_next is scanned only when its squared norm is
+    # not finite.
     with _ONE_BLAS_THREAD, _FrameBlocks(data.shape) as blocks:
         x_norm_sq = _squared_norm(state.x)
         for n in range(1, config.max_iters + 1):
             # transport = tv_step * grad_adjoint(y) and
             # x_bar = x - fidelity_step * gradient - transport
-            blocks.run(_primal_block, state.x, sampled, masked_data, *state.y,
+            blocks.run(_primal_block, state.x, sampled, masked_data, p, q,
                        transport, scratch, x_bar,
                        step=fidelity_step, tv_step=tv_step)
             if error_split:
@@ -433,28 +456,31 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                     np.add(state.x_prime, state.eps, out=scratch)
                     scratch *= config.tau
                 x_bar += scratch
-            x_next = _checked_svt(x_bar, svt_threshold, n)
+            x_next = _checked_svt(x_bar, svt_threshold, n, out=x_spare, split=blocks.split)
             # x_bar is free again: it holds the next SVT inputs and then
-            # the lookahead 2 x_next (+ x') - x.
-            dual_stacks = (x_next, state.x, *state.y, *ascent, x_bar)
+            # the lookahead. x' and eps are rewritten in place: their old
+            # values were last read in the x_bar terms above.
+            dual_stacks = (x_next, state.x, p, q, x_bar, next_sq, change_sq)
             if error_split:
                 np.subtract(x_next, transport, out=x_bar)
                 if state.eps is not zero:
                     np.multiply(state.eps, config.tau, out=scratch)
                     x_bar += scratch
-                state.x_prime = _checked_svt(x_bar, svt_threshold, n)
+                state.x_prime = _checked_svt(x_bar, svt_threshold, n,
+                                             out=state.x_prime, split=blocks.split)
                 np.subtract(x_next, state.x_prime, out=x_bar)
-                state.eps = _checked_svt(x_bar, eps_threshold, n, zero)
+                state.eps = _checked_svt(x_bar, eps_threshold, n, zero,
+                                         out=eps_out, split=blocks.split)
                 dual_stacks += (state.x_prime,)
             blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
-            # A finite stack can still have an overflowing square.
-            next_norm_sq = _squared_norm(x_next)
+            # Summed in frame order. A finite stack can still have an
+            # overflowing square.
+            next_norm_sq = sum(next_sq.tolist())
             if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
                 raise _divergence(n)
-            np.subtract(x_next, state.x, out=scratch)
-            re = _relative_error(x_next, state.x, _squared_norm(scratch), x_norm_sq)
-            state.x = x_next
+            re = _relative_error(x_next, state.x, sum(change_sq.tolist()), x_norm_sq)
+            x_spare, state.x = state.x, x_next
             x_norm_sq = next_norm_sq
             re_series.append(re)
 
@@ -474,6 +500,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 terminated_by = "tolerance"
                 break
 
+    state.y = DualField(p, q[:, :, :-1])
     return SolveReport(
         reconstruction=state.x,
         iterations=len(re_series),

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdledm.errors import DimensionError
+from rdledm import operators
 from rdledm.operators import (
     DualField,
     _dft2,
@@ -135,6 +136,31 @@ class TestDifferences:
         assert _grad_adjoint(DualField(p, q), out=out) is out
         assert out.tobytes() == expected.tobytes()
         assert _grad_adjoint(DualField(p, q)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (5, 6), (3, 1031)])
+    def test_padded_layout_matches_public_layout(self, rows, cols, signed_zeros):
+        # the solve loop keeps q as (T, m, n) with a zero last column; the
+        # kernel then runs its column terms on the flattened stack
+        gen = np.random.default_rng(rows * 10 + cols)
+        if signed_zeros:
+            draw = signed_zero_stack
+        else:
+            def draw(gen, shape):
+                return random_sequence(gen, *shape)
+        p = draw(gen, (3, rows - 1, cols))
+        q = draw(gen, (3, rows, cols - 1))
+        padded = np.zeros((3, rows, cols), dtype=complex)
+        padded[:, :, :-1] = q
+        out = np.full((3, rows, cols), np.nan + 1j)
+        assert _grad_adjoint(DualField(p, padded), out=out) is out
+        expected = _grad_adjoint(DualField(p, q))
+        if signed_zeros:
+            # only the signs of zeros may differ
+            assert np.array_equal(out, expected)
+        else:
+            # the same operations in the same order: the same bits
+            assert out.tobytes() == expected.tobytes()
 
     def test_zeros_factory_shapes(self):
         y = DualField.zeros(3, 5, 7)
@@ -278,6 +304,65 @@ class TestSvtAgainstSvd:
             out = svt(x, threshold)
             assert not np.any(out)
             assert np.array_equal(out, svd_svt(x, threshold))
+
+
+class TestSvtTiles:
+    # 5 frames of 48 x 48: the Gram matrix is summed from two whole tiles
+    # of pixel columns and a partial third.
+    SHAPE = (5, 48, 48)
+
+    def test_shape_spans_several_tiles(self):
+        pixels = self.SHAPE[1] * self.SHAPE[2]
+        assert pixels > 2 * operators._GRAM_TILE and pixels % operators._GRAM_TILE
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+    def test_matches_svd(self, rng, scale):
+        x = random_sequence(rng, *self.SHAPE)
+        top = top_singular_value(x)
+        threshold = 0.5 * float(np.median(
+            np.linalg.svd(x.reshape(self.SHAPE[0], -1).T, compute_uv=False)))
+        out = svt(scale * x, scale * threshold)
+        assert np.isfinite(out).all() and np.count_nonzero(out) > 0
+        expected = scale * svd_svt(x, threshold)
+        assert np.abs(out - expected).max() <= 1e-10 * scale * top
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_grouping_does_not_change_bits(self, rng, workers):
+        # tiles and frames handed out in contiguous groups, as a pool would
+        def split(kernel, count):
+            edges = [count * w // workers for w in range(workers + 1)]
+            for lo, hi in zip(edges, edges[1:]):
+                if hi > lo:
+                    kernel(slice(lo, hi))
+
+        x = random_sequence(rng, *self.SHAPE)
+        threshold = 0.5 * top_singular_value(x)
+        out = np.full(self.SHAPE, np.nan + 0j)
+        assert _svt(x, threshold, out=out, split=split) is out
+        assert out.tobytes() == _svt(x, threshold).tobytes()
+
+    def test_zero_shortcuts(self, rng):
+        # Above sqrt(2 * entries) * scale no Gram is formed; between that
+        # bound and ||C||_F the Gram is formed, and its trace decides.
+        x = random_sequence(rng, *self.SHAPE)
+        scale = np.abs(x.view(np.float64)).max()
+        bound = np.sqrt(2 * x.size) * scale
+        norm = frobenius_norm(x)
+        assert norm < bound
+        zero = np.zeros_like(x)
+        for threshold, kernels in ((bound, ["extremes"]),
+                                   (norm * 1.01, ["extremes", "gram"])):
+            called = []
+
+            def split(kernel, count):
+                called.append(kernel.__name__)
+                kernel(slice(0, count))
+
+            assert _svt(x, threshold, zero, split=split) is zero
+            assert called == kernels
+            out = np.full_like(x, np.nan)
+            assert _svt(x, threshold, out=out) is out
+            assert not np.any(out)
 
 
 class TestDualProjection:

@@ -47,10 +47,15 @@ class TestValidation:
         with pytest.raises(DimensionError):
             as_mask(np.array([[[None, 1 + 1j]]], dtype=object))
 
-    @pytest.mark.parametrize("dtype", [bool, np.float64, np.complex128, object])
-    def test_accepts_zero_one_stacks(self, dtype):
+    @pytest.mark.parametrize("stack", [
+        *(pytest.param(np.array([[[0, 1], [1, 0]]], dtype=dtype), id=np.dtype(dtype).name)
+          for dtype in (bool, np.float64, np.complex128, object)),
+        # mixed Python types with a complex zero: int(0j) would raise
+        pytest.param(np.array([[[0, 1.0], [True, 0j]]], dtype=object), id="mixed-object"),
+    ])
+    def test_accepts_zero_one_stacks(self, stack):
         # No ComplexWarning for a complex stack: the suite turns warnings into errors.
-        mask = as_mask(np.array([[[0, 1], [1, 0]]], dtype=dtype))
+        mask = as_mask(stack)
         assert mask.dtype == np.uint8
         assert mask.tolist() == [[[0, 1], [1, 0]]]
 

@@ -35,6 +35,18 @@ def small_problem():
     return truth, mask, data
 
 
+@pytest.fixture(scope="module")
+def tiled_problem():
+    # 48 x 48 = 2304 pixels: SVT Grams from two whole 1024-column tiles and
+    # a partial third; 5 frames, so 1, 2 and 3 workers cut frames and tiles
+    # differently. With EPS_SWITCHES_ON eps is zero in iterations 1-23 of
+    # 40 and nonzero from iteration 24 on.
+    truth = generate_phantom(PhantomSpec(rows=48, cols=48, frames=5))
+    mask = make_mask("radial", 5, 48, 48, 0.4, seed=1)
+    data = measure(truth, mask, 0.02, seed=2)
+    return truth, mask, data
+
+
 def run_config(**overrides):
     base = dict(max_iters=40, tol_re=1e-300)
     base.update(overrides)
@@ -275,6 +287,36 @@ class TestFrameBlocks:
                             report.re_series))
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("solve,overrides", [
+        (baseline_tvnn_solve, {}),
+        (rdledm_solve, {}),
+        (rdledm_solve, EPS_SWITCHES_ON),
+    ])
+    def test_several_tiles_are_byte_identical(self, tiled_problem, monkeypatch, solve,
+                                              overrides):
+        # the pool also forms partial Grams and rebuilds by groups of tiles:
+        # 3 tiles as one group, 1 + 2 and 1 + 1 + 1. Three workers on fewer
+        # cores, with frequent thread switches, also put the disjoint
+        # writes of the workers to the test.
+        _, mask, data = tiled_problem
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+                report = solve(data, mask, run_config(max_iters=40, **overrides))
+                state = report.final_state
+                assert state.y.p.shape == (5, 47, 48) and state.y.q.shape == (5, 48, 47)
+                results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
+                                state.eps.tobytes(), state.y.p.tobytes(),
+                                state.y.q.tobytes(), report.re_series))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+        if overrides:
+            assert np.count_nonzero(report.final_state.eps) > 0
+
     def test_worker_rule(self, monkeypatch):
         # a thread per block only from 2**17 voxels per worker on
         monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -413,8 +455,8 @@ class TestLoopShortcuts:
         original = solver._svt
         zero_results = []
 
-        def recording(x, threshold, zero=None):
-            out = original(x, threshold, zero)
+        def recording(x, threshold, zero=None, **workspace):
+            out = original(x, threshold, zero, **workspace)
             if zero is not None:
                 zero_results.append(out is zero)
             return out
@@ -425,11 +467,31 @@ class TestLoopShortcuts:
         assert np.count_nonzero(skipping.final_state.eps) > 0
         # A new zero stack each time: the loop cannot tell eps is zero, so
         # it computes every tau * eps term from iteration 2 on.
-        monkeypatch.setattr(solver, "_svt", lambda x, threshold, zero=None: original(x, threshold))
+        monkeypatch.setattr(solver, "_svt", lambda x, threshold, zero=None, **_: original(x, threshold))
         computing = rdledm_solve(data, mask, config)
         assert skipping.reconstruction.tobytes() == computing.reconstruction.tobytes()
         assert skipping.final_state.eps.tobytes() == computing.final_state.eps.tobytes()
         assert skipping.re_series == computing.re_series
+
+    def test_eps_svt_forms_no_gram_at_defaults(self, small_problem, monkeypatch):
+        # the bound sqrt(2 * entries) * scale <= threshold returns the zero
+        # stack right after the extremes, before any Gram tile is formed
+        _, mask, data = small_problem
+        original = solver._svt
+        kernels = []
+
+        def recording(x, threshold, zero=None, *, split, **workspace):
+            def counting(kernel, count):
+                if zero is not None:
+                    kernels.append(kernel.__name__)
+                split(kernel, count)
+
+            return original(x, threshold, zero, split=counting, **workspace)
+
+        monkeypatch.setattr(solver, "_svt", recording)
+        report = rdledm_solve(data, mask, run_config(max_iters=40))
+        assert kernels == ["extremes"] * 40
+        assert not np.any(report.final_state.eps)
 
     def test_error_split_matches_naive_reimplementation(self, small_problem):
         # independently coded rdledm loop, plain numpy throughout; eps is
@@ -501,6 +563,31 @@ class TestLoopShortcuts:
         assert excinfo.value.iteration == 4
         assert str(excinfo.value) == "solver state became non-finite at iteration 4"
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_in_a_pool_block_diverges(self, tiled_problem, monkeypatch,
+                                                 solve, bad):
+        # on two workers the pool thread takes frames 2-4 of x_bar, and the
+        # SVT's extremes of those frames find the poison in the last tile
+        _, mask, data = tiled_problem
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
+        original = solver._grad_adjoint
+        pool_calls = []
+
+        def poisoned(y, out):
+            original(y, out=out)
+            if len(out) == 3:
+                pool_calls.append(None)
+                if len(pool_calls) == 3:
+                    out[-1, -1, -1] = bad
+            return out
+
+        monkeypatch.setattr(solver, "_grad_adjoint", poisoned)
+        with pytest.raises(DivergenceError) as excinfo:
+            solve(data, mask, run_config(max_iters=10, **EPS_SWITCHES_ON))
+        assert excinfo.value.iteration == 3
+
     @pytest.mark.parametrize("solve,svts_per_iteration", [(rdledm_solve, 3),
                                                            (baseline_tvnn_solve, 1)])
     def test_non_finite_x_next_diverges_at_its_iteration(self, small_problem, monkeypatch,
@@ -510,8 +597,8 @@ class TestLoopShortcuts:
         original = solver._svt
         calls = []
 
-        def poisoned(x, threshold, zero=None):
-            out = original(x, threshold, zero)
+        def poisoned(x, threshold, zero=None, **workspace):
+            out = original(x, threshold, zero, **workspace)
             calls.append(None)
             if len(calls) == 3 * svts_per_iteration + 1:  # first SVT of iteration 4
                 out = out.copy()
