@@ -174,22 +174,35 @@ def config_from_manifest(manifest: dict, directory: str | None = None) -> Experi
     return experiment_config_from_json(doc)
 
 
+def _gray_levels(x: np.ndarray) -> np.ndarray:
+    # |x| min-max scaled to 0..255 over the whole stack, all 0 for a zero
+    # range. |x| overflows to inf above about 1.8e308, and the gain
+    # 255 / (high - low) once the range falls below about 1.4e-306. Such a
+    # stack is scaled after division by its largest real or imaginary part,
+    # where neither can happen; any other stack keeps the plain formula.
+    magnitudes = np.abs(x)
+    low = float(magnitudes.min())
+    high = float(magnitudes.max())
+    gain = 255.0 / (high - low) if high > low else 0.0
+    if not (math.isfinite(high) and math.isfinite(gain)):
+        # On the float64 view: a complex division by a subnormal overflows.
+        parts = np.ascontiguousarray(x).view(np.float64)
+        return _gray_levels((parts / np.abs(parts).max()).view(np.complex128))
+    return np.rint((magnitudes - low) * gain).astype(np.uint8)
+
+
 def write_pgm_frames(x, directory) -> list[str]:
     """One 8-bit binary PGM per frame of the magnitude sequence.
 
     Magnitudes are min-max scaled over the whole stack so frames share
-    one gray scale; a zero-range stack maps to all-black frames.
+    one gray scale; a zero-range stack maps to all-black frames. Any
+    finite stack is scaled without overflow, however large or small its
+    entries.
     """
     x = as_sequence(x)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    magnitudes = np.abs(x)
-    low = float(magnitudes.min())
-    high = float(magnitudes.max())
-    if high > low:
-        scaled = np.rint((magnitudes - low) * (255.0 / (high - low))).astype(np.uint8)
-    else:
-        scaled = np.zeros(magnitudes.shape, dtype=np.uint8)
+    scaled = _gray_levels(x)
     names = []
     rows, cols = x.shape[1:]
     for t in range(x.shape[0]):

@@ -33,13 +33,6 @@ class DualField(NamedTuple):
     p: np.ndarray
     q: np.ndarray
 
-    @classmethod
-    def zeros(cls, frames: int, rows: int, cols: int) -> "DualField":
-        return cls(
-            np.zeros((frames, rows - 1, cols), dtype=np.complex128),
-            np.zeros((frames, rows, cols - 1), dtype=np.complex128),
-        )
-
 
 def _validate_dual(y: DualField) -> DualField:
     p = np.asarray(y.p, dtype=np.complex128)
@@ -89,35 +82,20 @@ def grad_forward(x) -> DualField:
     return DualField(x[:, :-1, :] - x[:, 1:, :], x[:, :, :-1] - x[:, :, 1:])
 
 
-def _grad_adjoint(y: DualField, out: np.ndarray | None = None) -> np.ndarray:
+def _grad_adjoint(y: DualField, out: np.ndarray) -> np.ndarray:
+    # The solve loop's layout: q padded to (T, m, n) with a zero last
+    # column, and every array C-contiguous. The row terms take one
+    # subtract pass; the column terms run on the flattened stack, where
+    # the entry before the first of each row is a padded zero. The values
+    # are those of grad_adjoint, but a zero may differ in sign (-p is not
+    # 0 - p, and x + 0 is not x for x = -0).
     p, q = y
-    frames, rows_minus, cols = p.shape
-    if out is None:
-        out = np.empty((frames, rows_minus + 1, cols), dtype=np.complex128)
-    if q.shape[2] == cols:
-        # The solve loop's layout: q padded to (T, m, n) with a zero last
-        # column, and every array C-contiguous. The row terms take one
-        # subtract pass; the column terms run on the flattened stack,
-        # where the entry before the first of each row is a padded zero.
-        # The values are those of the zero-filled accumulation below, but
-        # a zero may differ in sign (-p is not 0 - p, and x + 0 is not x
-        # for x = -0).
-        out[:, 0, :] = p[:, 0, :]
-        np.subtract(p[:, 1:, :], p[:, :-1, :], out=out[:, 1:-1, :])
-        np.negative(p[:, -1, :], out=out[:, -1, :])
-        out_flat, q_flat = out.reshape(-1), q.reshape(-1)
-        out_flat += q_flat
-        out_flat[1:] -= q_flat[:-1]
-        return out
-    # Only the last row is zero-filled; the others start as 0 + p, with
-    # no fill pass. Every entry is evaluated in the order of a fully
-    # zero-filled accumulation, so even the signs of zeros match it
-    # (0 + p turns -0 into +0).
-    np.add(p, 0.0, out=out[:, :-1, :])
-    out[:, -1, :] = 0.0
-    out[:, 1:, :] -= p
-    out[:, :, :-1] += q
-    out[:, :, 1:] -= q
+    out[:, 0, :] = p[:, 0, :]
+    np.subtract(p[:, 1:, :], p[:, :-1, :], out=out[:, 1:-1, :])
+    np.negative(p[:, -1, :], out=out[:, -1, :])
+    out_flat, q_flat = out.reshape(-1), q.reshape(-1)
+    out_flat += q_flat
+    out_flat[1:] -= q_flat[:-1]
     return out
 
 
@@ -127,7 +105,13 @@ def grad_adjoint(y: DualField) -> np.ndarray:
     Entry (i, j) receives ``p[i, j] + q[i, j] - p[i-1, j] - q[i, j-1]``
     with out-of-range terms read as zero.
     """
-    return _grad_adjoint(_validate_dual(y))
+    p, q = _validate_dual(y)
+    out = np.zeros((p.shape[0], p.shape[1] + 1, p.shape[2]), dtype=np.complex128)
+    out[:, :-1, :] += p
+    out[:, 1:, :] -= p
+    out[:, :, :-1] += q
+    out[:, :, 1:] -= q
+    return out
 
 
 def tv_seminorm(x) -> float:
@@ -146,7 +130,7 @@ def nuclear_norm(x) -> float:
 
 
 class _NonFiniteInput(Exception):
-    """Raised by :func:`_svt` when its input holds a NaN or an infinity."""
+    """Raised when an SVT input or a solve's iterate holds a NaN or an infinity."""
 
 
 # Pixel columns of the (T, m*n) Casorati view per partial Gram matrix. A

@@ -133,12 +133,21 @@ class SolveReport:
     final_state: SolverState = field(repr=False, default=None)
 
 
-def _squared_norm(x: np.ndarray) -> float:
-    # ravel is contiguous, so the float64 view exists for strided input.
-    # An overflow to +inf is handled by every caller.
-    parts = x.ravel().view(np.float64)
+def _frame_squared_norms(x: np.ndarray, out: np.ndarray) -> None:
+    # out[t] <- ||x[t]||^2. The contiguous copy (of strided input only)
+    # lets the float64 view exist. An overflow to +inf is handled by every
+    # caller.
+    parts = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
     with np.errstate(over="ignore"):
-        return float(parts @ parts)
+        np.vecdot(parts, parts, out=out)
+
+
+def _squared_norm(x: np.ndarray) -> float:
+    # The per-frame norms summed in frame order, as the solve loop sums
+    # those its dual kernel writes.
+    norms = np.empty(len(x))
+    _frame_squared_norms(x, norms)
+    return sum(norms.tolist())
 
 
 def _relative_error(x_next: np.ndarray, x_prev: np.ndarray,
@@ -174,25 +183,9 @@ def relative_error(x_next, x_prev) -> float:
     or underflow.
     """
     x_next, x_prev = _as_pair(x_next, x_prev)
-    return _relative_error(x_next, x_prev, _squared_norm(x_next - x_prev),
-                           _squared_norm(x_prev))
-
-
-def _divergence(iteration: int) -> DivergenceError:
-    return DivergenceError(
-        f"solver state became non-finite at iteration {iteration}",
-        iteration=iteration,
-    )
-
-
-def _checked_svt(x, threshold, iteration, zero=None, **workspace):
-    # Blow-ups are caught before they reach the SVT's decomposition,
-    # which would otherwise fail with an unhelpful error. `workspace`
-    # (out=, split=) goes to _svt unchanged.
-    try:
-        return _svt(x, threshold, zero, **workspace)
-    except _NonFiniteInput:
-        raise _divergence(iteration) from None
+    with _ONE_BLAS_THREAD:
+        return _relative_error(x_next, x_prev, _squared_norm(x_next - x_prev),
+                               _squared_norm(x_prev))
 
 
 # NumPy's bundled OpenBLAS exports its thread-count calls under one of
@@ -223,15 +216,16 @@ def _blas_thread_calls():
 
 
 class _OneBlasThread:
-    """Holds NumPy's BLAS at one thread while any solve runs.
+    """Holds NumPy's BLAS at one thread while a solve or relative_error runs.
 
     A solve's only BLAS calls are the SVT products and the squared norms.
     At these sizes threads make them no faster, and after a threaded call
     OpenBLAS's workers keep spinning on the other cores, which the frame
     blocks need. One thread also makes the dot products behind the
-    relative error independent of the host's BLAS thread count.
+    relative error, the solve's series and the public call alike,
+    independent of the host's BLAS thread count.
 
-    The count belongs to the process, so solves overlapping in several
+    The count belongs to the process, so holders overlapping in several
     threads share one hold: the first to enter saves the count and sets 1,
     the last to leave restores it, on every exit path. Where the BLAS
     exports no thread-count call this does nothing.
@@ -356,11 +350,8 @@ def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
     # decides for itself whether its projection can return at once; where
     # it does, every factor of a whole-field projection would be exactly 1.
     np.subtract(x_next, x, out=lookahead)
-    # Overflowing squares are handled by the caller.
-    with np.errstate(over="ignore"):
-        for stack, norms in ((x_next, next_sq), (lookahead, change_sq)):
-            parts = stack.reshape(len(stack), -1).view(np.float64)
-            np.vecdot(parts, parts, out=norms)
+    _frame_squared_norms(x_next, next_sq)
+    _frame_squared_norms(lookahead, change_sq)
     lookahead += x_next
     if x_prime is not None:
         lookahead += x_prime
@@ -438,67 +429,72 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # the relative error and PSNR/RMSE. Finiteness is checked without
     # scans of its own: _svt tests its input through the extremes it
     # takes anyway, and x_next is scanned only when its squared norm is
-    # not finite.
+    # not finite. Either raises _NonFiniteInput, which ends the solve
+    # with a DivergenceError.
     with _ONE_BLAS_THREAD, _FrameBlocks(data.shape) as blocks:
         x_norm_sq = _squared_norm(state.x)
-        for n in range(1, config.max_iters + 1):
-            # transport = tv_step * grad_adjoint(y) and
-            # x_bar = x - fidelity_step * gradient - transport
-            blocks.run(_primal_block, state.x, sampled, masked_data, p, q,
-                       transport, scratch, x_bar,
-                       step=fidelity_step, tv_step=tv_step)
-            if error_split:
-                # While eps is the exact zero stack its tau * eps terms are
-                # skipped: they could change only the sign of a zero.
-                if state.eps is zero:
-                    np.multiply(state.x_prime, config.tau, out=scratch)
-                else:
-                    np.add(state.x_prime, state.eps, out=scratch)
-                    scratch *= config.tau
-                x_bar += scratch
-            x_next = _checked_svt(x_bar, svt_threshold, n, out=x_spare, split=blocks.split)
-            # x_bar is free again: it holds the next SVT inputs and then
-            # the lookahead. x' and eps are rewritten in place: their old
-            # values were last read in the x_bar terms above.
-            dual_stacks = (x_next, state.x, p, q, x_bar, next_sq, change_sq)
-            if error_split:
-                np.subtract(x_next, transport, out=x_bar)
-                if state.eps is not zero:
-                    np.multiply(state.eps, config.tau, out=scratch)
+        try:
+            for n in range(1, config.max_iters + 1):
+                # transport = tv_step * grad_adjoint(y) and
+                # x_bar = x - fidelity_step * gradient - transport
+                blocks.run(_primal_block, state.x, sampled, masked_data, p, q,
+                           transport, scratch, x_bar,
+                           step=fidelity_step, tv_step=tv_step)
+                if error_split:
+                    # While eps is the exact zero stack its tau * eps terms are
+                    # skipped: they could change only the sign of a zero.
+                    if state.eps is zero:
+                        np.multiply(state.x_prime, config.tau, out=scratch)
+                    else:
+                        np.add(state.x_prime, state.eps, out=scratch)
+                        scratch *= config.tau
                     x_bar += scratch
-                state.x_prime = _checked_svt(x_bar, svt_threshold, n,
-                                             out=state.x_prime, split=blocks.split)
-                np.subtract(x_next, state.x_prime, out=x_bar)
-                state.eps = _checked_svt(x_bar, eps_threshold, n, zero,
-                                         out=eps_out, split=blocks.split)
-                dual_stacks += (state.x_prime,)
-            blocks.run(_dual_block, *dual_stacks, step=dual_step)
+                x_next = _svt(x_bar, svt_threshold, out=x_spare, split=blocks.split)
+                # x_bar is free again: it holds the next SVT inputs and then
+                # the lookahead. x' and eps are rewritten in place: their old
+                # values were last read in the x_bar terms above.
+                dual_stacks = (x_next, state.x, p, q, x_bar, next_sq, change_sq)
+                if error_split:
+                    np.subtract(x_next, transport, out=x_bar)
+                    if state.eps is not zero:
+                        np.multiply(state.eps, config.tau, out=scratch)
+                        x_bar += scratch
+                    state.x_prime = _svt(x_bar, svt_threshold, out=state.x_prime,
+                                         split=blocks.split)
+                    np.subtract(x_next, state.x_prime, out=x_bar)
+                    state.eps = _svt(x_bar, eps_threshold, zero, out=eps_out,
+                                     split=blocks.split)
+                    dual_stacks += (state.x_prime,)
+                blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
-            # Summed in frame order. A finite stack can still have an
-            # overflowing square.
-            next_norm_sq = sum(next_sq.tolist())
-            if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
-                raise _divergence(n)
-            re = _relative_error(x_next, state.x, sum(change_sq.tolist()), x_norm_sq)
-            x_spare, state.x = state.x, x_next
-            x_norm_sq = next_norm_sq
-            re_series.append(re)
+                # Summed in frame order. A finite stack can still have an
+                # overflowing square.
+                next_norm_sq = sum(next_sq.tolist())
+                if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
+                    raise _NonFiniteInput("non-finite iterate")
+                re = _relative_error(x_next, state.x, sum(change_sq.tolist()), x_norm_sq)
+                x_spare, state.x = state.x, x_next
+                x_norm_sq = next_norm_sq
+                re_series.append(re)
 
-            psnr_value = rmse_value = None
-            if track:
-                psnr_value, rmse_value = _psnr_rmse(*ref_terms, state.x, magnitude)
-                psnr_series.append(psnr_value)
-                rmse_series.append(rmse_value)
-            if on_iteration is not None:
-                try:
-                    on_iteration(n, re, psnr_value, rmse_value)
-                except Exception as exc:
-                    raise CallbackError(
-                        f"iteration callback raised at iteration {n}", iteration=n
-                    ) from exc
-            if re < config.tol_re:
-                terminated_by = "tolerance"
-                break
+                psnr_value = rmse_value = None
+                if track:
+                    psnr_value, rmse_value = _psnr_rmse(*ref_terms, state.x, magnitude)
+                    psnr_series.append(psnr_value)
+                    rmse_series.append(rmse_value)
+                if on_iteration is not None:
+                    try:
+                        on_iteration(n, re, psnr_value, rmse_value)
+                    except Exception as exc:
+                        raise CallbackError(
+                            f"iteration callback raised at iteration {n}", iteration=n
+                        ) from exc
+                if re < config.tol_re:
+                    terminated_by = "tolerance"
+                    break
+        except _NonFiniteInput:
+            raise DivergenceError(f"solver state became non-finite at iteration {n}",
+                                  iteration=n) from None
 
     state.y = DualField(p, q[:, :, :-1])
     return SolveReport(

@@ -326,6 +326,22 @@ class TestPgmExport:
         payload = (tmp_path / "frame_0000.pgm").read_bytes()[len(b"P5\n2 2\n255\n"):]
         assert list(payload) == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("entries,levels", [
+        # |x| overflows float64
+        ([1.5e308 + 1.5e308j, 1.0, 0.0, 0.0], [255, 0, 0, 0]),
+        # 255 / (high - low) overflows
+        ([0.0, 0.0, 0.0, 1e-310], [0, 0, 0, 255]),
+    ])
+    def test_extreme_scales(self, tmp_path, entries, levels):
+        x = np.array(entries, dtype=complex).reshape(1, 2, 2)
+        write_pgm_frames(x, tmp_path / "direct")
+        seq = tmp_path / "x.dseq"
+        write_sequence(x, seq)
+        assert main(["export", "--seq", str(seq), "--out-dir", str(tmp_path / "cli")]) == 0
+        for directory in ("direct", "cli"):
+            payload = (tmp_path / directory / "frame_0000.pgm").read_bytes()
+            assert list(payload[len(b"P5\n2 2\n255\n"):]) == levels
+
 
 class TestCliCommands:
     def test_phantom_command(self, tmp_path, capsys):

@@ -328,6 +328,19 @@ class TestFrameBlocks:
         with solver._FrameBlocks((8, 64, 64)) as blocks:
             assert blocks._pool is None
 
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    @pytest.mark.parametrize("problem,workers", [("small_problem", 1),
+                                                 ("tiled_problem", 1),
+                                                 ("tiled_problem", 2)])
+    def test_first_re_is_the_public_relative_error(self, request, monkeypatch, solve,
+                                                   problem, workers):
+        # the solve's first ||x||^2 is summed per frame like every later one
+        _, mask, data = request.getfixturevalue(problem)
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
+        report = solve(data, mask, run_config(max_iters=1))
+        expected = relative_error(report.reconstruction, zero_fill(data, mask))
+        assert report.re_series == (expected,)
+
     def test_one_worker_imports_no_pool(self):
         # a solve small enough for one worker leaves concurrent.futures unloaded
         code = (
@@ -401,6 +414,20 @@ class TestThreadBudget:
         one, two = reports
         assert one.reconstruction.tobytes() == two.reconstruction.tobytes()
         assert one.re_series == two.re_series
+
+    def test_public_relative_error_does_not_depend_on_callers_count(self, blas_threads):
+        # the public call holds BLAS at one thread as a solve does; a
+        # threaded dot product sums in another order
+        get, set_ = blas_threads
+        gen = np.random.default_rng(5)
+        a = random_sequence(gen, 20, 128, 128)
+        b = a + random_sequence(gen, 20, 128, 128, scale=0.01)
+        values = []
+        for threads in (1, 2):
+            set_(threads)
+            values.append(relative_error(b, a))
+            assert get() == threads
+        assert values[0].hex() == values[1].hex()
 
     def test_overlapping_solves_restore_count(self, small_problem, blas_threads):
         # the first solve to leave must not restore the count while the
