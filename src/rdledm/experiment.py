@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .metrics import _score, format_float
 from .phantom import generate_phantom, phantom_preset
 from .sampling import make_mask, measure, write_mask, zero_fill
-from .sequence import as_sequence, write_sequence
+from .sequence import _divided, _largest_part, as_sequence, write_sequence
 from .solver import SolverConfig, baseline_tvnn_solve, rdledm_solve
 
 SOLVER_METHODS = ("rdledm", "baseline", "zerofill")
@@ -161,6 +161,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: not valid JSON: nested too deeply") from None
     return experiment_config_from_json(doc)
 
 
@@ -185,9 +187,7 @@ def _gray_levels(x: np.ndarray) -> np.ndarray:
     high = float(magnitudes.max())
     gain = 255.0 / (high - low) if high > low else 0.0
     if not (math.isfinite(high) and math.isfinite(gain)):
-        # On the float64 view: a complex division by a subnormal overflows.
-        parts = np.ascontiguousarray(x).view(np.float64)
-        return _gray_levels((parts / np.abs(parts).max()).view(np.complex128))
+        return _gray_levels(_divided(x, _largest_part(x)))
     return np.rint((magnitudes - low) * gain).astype(np.uint8)
 
 

@@ -2,8 +2,8 @@
 
 Everything here acts on (T, m, n) complex stacks, frame by frame. The
 public functions are pure and leave their inputs unchanged; the private
-kernels behind them may write into ``out`` buffers or update a dual
-field in place, so the solve loop reuses its memory. The Fourier pair
+kernels behind them may write into ``out`` buffers or shrink an array
+in place, so the solve loop reuses its memory. The Fourier pair
 is unitary, so its adjoint is its inverse and the data-fidelity
 operator has unit spectral norm. The finite-difference pair below
 satisfies the exact adjoint identity ``<grad(x), y> == <x,
@@ -80,23 +80,6 @@ def grad_forward(x) -> DualField:
     if x.shape[1] < 2 or x.shape[2] < 2:
         raise DimensionError(f"frames must be at least 2x2 for differences, got {x.shape}")
     return DualField(x[:, :-1, :] - x[:, 1:, :], x[:, :, :-1] - x[:, :, 1:])
-
-
-def _grad_adjoint(y: DualField, out: np.ndarray) -> np.ndarray:
-    # The solve loop's layout: q padded to (T, m, n) with a zero last
-    # column, and every array C-contiguous. The row terms take one
-    # subtract pass; the column terms run on the flattened stack, where
-    # the entry before the first of each row is a padded zero. The values
-    # are those of grad_adjoint, but a zero may differ in sign (-p is not
-    # 0 - p, and x + 0 is not x for x = -0).
-    p, q = y
-    out[:, 0, :] = p[:, 0, :]
-    np.subtract(p[:, 1:, :], p[:, :-1, :], out=out[:, 1:-1, :])
-    np.negative(p[:, -1, :], out=out[:, -1, :])
-    out_flat, q_flat = out.reshape(-1), q.reshape(-1)
-    out_flat += q_flat
-    out_flat[1:] -= q_flat[:-1]
-    return out
 
 
 def grad_adjoint(y: DualField) -> np.ndarray:
@@ -283,18 +266,13 @@ def _shrink_to_unit_disc(z: np.ndarray) -> None:
     parts[..., 1::2] *= scale
 
 
-def _project_linf_ball(y: DualField) -> DualField:
-    # In place: the dual field of the solve loop is updated where it lies.
-    _shrink_to_unit_disc(y.p)
-    _shrink_to_unit_disc(y.q)
-    return y
-
-
 def project_linf_ball(y: DualField) -> DualField:
     """Project every entry of the dual field onto the unit disc.
 
     Entries with magnitude at most 1 pass through unchanged; larger
     ones are rescaled to magnitude 1, preserving the phase.
     """
-    p, q = _validate_dual(y)
-    return _project_linf_ball(DualField(p.copy(), q.copy()))
+    p, q = (component.copy() for component in _validate_dual(y))
+    _shrink_to_unit_disc(p)
+    _shrink_to_unit_disc(q)
+    return DualField(p, q)

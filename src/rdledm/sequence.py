@@ -20,7 +20,9 @@ FileFormatError, and no partial data is ever returned.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 
 import numpy as np
 
@@ -66,9 +68,38 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _largest_part(x: np.ndarray) -> float:
+    # The largest |real| or |imaginary| part of the complex128 stack x.
+    return float(np.abs(x.ravel().view(np.float64)).max())
+
+
+def _divided(x: np.ndarray, scale: float) -> np.ndarray:
+    # x / scale for a real scale > 0, divided on the float64 view: NumPy
+    # divides a complex number by a real one by multiplying with 1/scale,
+    # which is inf when the scale is subnormal.
+    return (x.ravel().view(np.float64) / scale).view(np.complex128).reshape(x.shape)
+
+
+# Below this a norm's squares have underflowed, to 0 or to subnormals
+# with few digits left.
+_TINY_NORM = math.sqrt(sys.float_info.min)
+
+
 def frobenius_norm(x) -> float:
-    """Square root of the sum of squared magnitudes over the whole stack."""
-    return float(np.linalg.norm(as_sequence(x).ravel()))
+    """Square root of the sum of squared magnitudes over the whole stack.
+
+    Exact to rounding for any finite stack: where the squares overflow or
+    underflow, the norm is taken on the stack divided by its largest real
+    or imaginary part and scaled back.
+    """
+    x = as_sequence(x)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x.ravel()))
+    if math.isinf(norm) or norm < _TINY_NORM:
+        scale = _largest_part(x)
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(_divided(x, scale)))
+    return norm
 
 
 def inner_product(a, b) -> complex:

@@ -40,14 +40,13 @@ from .metrics import _psnr_rmse, _reference
 from .operators import (
     DualField,
     _dft2,
-    _grad_adjoint,
     _idft2,
     _NonFiniteInput,
-    _project_linf_ball,
+    _shrink_to_unit_disc,
     _svt,
 )
 from .sampling import _as_stack_and_mask
-from .sequence import _as_pair
+from .sequence import _as_pair, _divided, _largest_part
 
 # Spectral norm of the measurement operator (unitary DFT composed with a
 # binary mask); exact, not estimated.
@@ -111,7 +110,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All mutable state of one solve: primal stacks and dual field."""
+    """The final state of a solve: primal stacks and dual field."""
 
     x: np.ndarray
     x_prime: np.ndarray
@@ -161,12 +160,11 @@ def _relative_error(x_next: np.ndarray, x_prev: np.ndarray,
     # copies cannot overflow either); a zero scale means both are zero.
     if (not (math.isfinite(change_sq) and math.isfinite(prev_sq))
             or prev_sq < sys.float_info.min):
-        scale = max(float(np.abs(x.ravel().view(np.float64)).max())
-                    for x in (x_next, x_prev))
+        scale = max(_largest_part(x_next), _largest_part(x_prev))
         if scale == 0.0:
             return 0.0
-        x_next = x_next / scale
-        x_prev = x_prev / scale
+        x_next = _divided(x_next, scale)
+        x_prev = _divided(x_prev, scale)
         change_sq = _squared_norm(x_next - x_prev)
         prev_sq = _squared_norm(x_prev)
     if prev_sq == 0.0:
@@ -183,7 +181,8 @@ def relative_error(x_next, x_prev) -> float:
     or underflow.
     """
     x_next, x_prev = _as_pair(x_next, x_prev)
-    with _ONE_BLAS_THREAD:
+    # x_next - x_prev may overflow; _relative_error then rescales.
+    with _ONE_BLAS_THREAD, np.errstate(over="ignore"):
         return _relative_error(x_next, x_prev, _squared_norm(x_next - x_prev),
                                _squared_norm(x_prev))
 
@@ -199,13 +198,19 @@ _BLAS_THREAD_CALLS = (
 
 def _blas_thread_calls():
     """(get, set) of the BLAS thread count NumPy uses, or None."""
-    # Symbols looked up through NumPy's core extension are found in the
-    # BLAS library it links.
+    return _find_blas_thread_calls(_BLAS_THREAD_CALLS)
+
+
+@functools.cache
+def _find_blas_thread_calls(names):
+    # Looked up once per process (and per names tuple, so replacing
+    # _BLAS_THREAD_CALLS takes effect). Symbols looked up through NumPy's
+    # core extension are found in the BLAS library it links.
     try:
         library = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (OSError, AttributeError):
         return None
-    for get_name, set_name in _BLAS_THREAD_CALLS:
+    for get_name, set_name in names:
         get = getattr(library, get_name, None)
         set_ = getattr(library, set_name, None)
         if get is not None and set_ is not None:
@@ -256,6 +261,11 @@ class _OneBlasThread:
 
 _ONE_BLAS_THREAD = _OneBlasThread()
 
+# NumPy's error state for a solve: a diverging one overflows, and makes
+# NaN from inf - inf or inf * 0, before the loop's checks raise
+# DivergenceError.
+_LOOP_ERRORS = {"over": "ignore", "invalid": "ignore"}
+
 # Frame blocks get a thread only from 2**17 voxels per worker on. Measured
 # on 2 cores (baseline solve, ms/iter on one worker against two): 64x64x8
 # 3.35/3.84 and 160x160x8 28.2/29.1 lose on two, 128x128x8 and 128x128x16
@@ -297,7 +307,9 @@ class _FrameBlocks:
             # modules, about 0.6 MB resident.
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(self._workers - 1)
+            # np.errstate is per thread: the workers take the solve's.
+            self._pool = ThreadPoolExecutor(
+                self._workers - 1, initializer=functools.partial(np.seterr, **_LOOP_ERRORS))
 
     def __enter__(self) -> "_FrameBlocks":
         return self
@@ -320,14 +332,31 @@ class _FrameBlocks:
                    self._frames)
 
 
+def _grad_adjoint(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # grad_adjoint on the padded dual layout (see _dual_block): p, q and
+    # out are C-contiguous (T, m, n) stacks. Three passes on the flattened
+    # stacks: copy the first row and subtract p shifted by n, add q, and
+    # subtract q shifted by 1. A zero pad (the last row of the frame
+    # before, the last column of the row before) stands in for each term
+    # that falls outside its frame. The values are those of grad_adjoint;
+    # a zero may differ in sign.
+    cols = out.shape[-1]
+    out_flat, p_flat, q_flat = out.reshape(-1), p.reshape(-1), q.reshape(-1)
+    out_flat[:cols] = p_flat[:cols]
+    np.subtract(p_flat[cols:], p_flat[:-cols], out=out_flat[cols:])
+    out_flat += q_flat
+    out_flat[1:] -= q_flat[:-1]
+    return out
+
+
 def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
                   step, tv_step) -> None:
     # For one frame block: transport <- tv_step * grad_adjoint(y), then
     # out <- x - step * F^H (M F x - M b) - transport, evaluated in that
     # order, with k as scratch. For a 0/1 mask M, F^H (M F x - M b)
     # equals F^H ((M F x - b) M), the gradient of 1/2 ||A x - b||^2,
-    # whether or not b was masked. q is padded (see _dual_block).
-    _grad_adjoint(DualField(p, q), out=transport)
+    # whether or not b was masked.
+    _grad_adjoint(p, q, transport)
     transport *= tv_step
     _dft2(x, out=k)
     k *= sampled
@@ -343,12 +372,13 @@ def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
     # For one frame block: next_sq and change_sq <- per-frame ||x_next||^2
     # and ||x_next - x||^2, then y <- proj(y + grad(step * ((x_next - x)
     # + x_next (+ x')))), evaluated in that order, the differences added
-    # straight into y. q is padded to (T, m, n) with a zero last column:
-    # its column differences run on the flattened block, and the entries
-    # they write into the last column (differences across a row or frame
-    # boundary) are zeroed again before the projection. Each block
-    # decides for itself whether its projection can return at once; where
-    # it does, every factor of a whole-field projection would be exactly 1.
+    # straight into y. Both components are padded to (T, m, n): p with a
+    # zero last row, q with a zero last column. Each takes its differences
+    # on the flattened block, at stride n (p) or 1 (q), and the entries
+    # they write into its pad (differences across a frame or row boundary)
+    # are zeroed again before the projection. Each block decides for
+    # itself whether a projection can return at once; where it does, every
+    # factor of a whole-field projection would be exactly 1.
     np.subtract(x_next, x, out=lookahead)
     _frame_squared_norms(x_next, next_sq)
     _frame_squared_norms(lookahead, change_sq)
@@ -356,13 +386,13 @@ def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
     if x_prime is not None:
         lookahead += x_prime
     lookahead *= step
-    p += lookahead[:, :-1, :]
-    p -= lookahead[:, 1:, :]
-    q_flat, lookahead_flat = q.reshape(-1), lookahead.reshape(-1)
-    q_flat[:-1] += lookahead_flat[:-1]
-    q_flat[:-1] -= lookahead_flat[1:]
-    q[:, :, -1] = 0.0
-    _project_linf_ball(DualField(p, q))
+    lookahead_flat = lookahead.reshape(-1)
+    for y, stride, pad in ((p, lookahead.shape[-1], p[:, -1, :]), (q, 1, q[:, :, -1])):
+        y_flat = y.reshape(-1)
+        y_flat[:-stride] += lookahead_flat[:-stride]
+        y_flat[:-stride] -= lookahead_flat[stride:]
+        pad[...] = 0.0
+        _shrink_to_unit_disc(y)
 
 
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
@@ -389,14 +419,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     masked_data = data * sampled
     init = _idft2(masked_data)
     # eps for as long as the eps SVT returns its exact zero stack. Never
-    # written to, so the loop can test `state.eps is zero`.
+    # written to, so the loop can test `eps is zero`.
     zero = np.zeros_like(init)
-    # y.q is kept padded to (T, m, n) with a zero last column, so the
-    # column differences of both gradient kernels run on contiguous
-    # memory; final_state.y has the public shapes.
-    p = np.zeros((frames, rows - 1, cols), dtype=np.complex128)
-    q = np.zeros((frames, rows, cols), dtype=np.complex128)
-    state = SolverState(x=init, x_prime=init.copy(), eps=zero, y=DualField(p, q))
+    x, x_prime, eps = init, init.copy(), zero
+    # The dual field y = (p, q), both padded to (T, m, n) (see
+    # _dual_block); final_state.y has the public shapes.
+    p = np.zeros_like(init)
+    q = np.zeros_like(init)
     # Reused every iteration: scratch (k-space inside the FFT pair, then
     # any temporary), the primal point being built (x_bar, then the
     # lookahead), the scaled transport tv_step * grad_adjoint(y), the
@@ -430,41 +459,40 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # scans of its own: _svt tests its input through the extremes it
     # takes anyway, and x_next is scanned only when its squared norm is
     # not finite. Either raises _NonFiniteInput, which ends the solve
-    # with a DivergenceError.
-    with _ONE_BLAS_THREAD, _FrameBlocks(data.shape) as blocks:
-        x_norm_sq = _squared_norm(state.x)
+    # with a DivergenceError; the overflow and NaN on the way there are
+    # not warned of (_LOOP_ERRORS, on the workers too).
+    with _ONE_BLAS_THREAD, np.errstate(**_LOOP_ERRORS), _FrameBlocks(data.shape) as blocks:
+        x_norm_sq = _squared_norm(x)
         try:
             for n in range(1, config.max_iters + 1):
                 # transport = tv_step * grad_adjoint(y) and
                 # x_bar = x - fidelity_step * gradient - transport
-                blocks.run(_primal_block, state.x, sampled, masked_data, p, q,
+                blocks.run(_primal_block, x, sampled, masked_data, p, q,
                            transport, scratch, x_bar,
                            step=fidelity_step, tv_step=tv_step)
                 if error_split:
                     # While eps is the exact zero stack its tau * eps terms are
                     # skipped: they could change only the sign of a zero.
-                    if state.eps is zero:
-                        np.multiply(state.x_prime, config.tau, out=scratch)
+                    if eps is zero:
+                        np.multiply(x_prime, config.tau, out=scratch)
                     else:
-                        np.add(state.x_prime, state.eps, out=scratch)
+                        np.add(x_prime, eps, out=scratch)
                         scratch *= config.tau
                     x_bar += scratch
                 x_next = _svt(x_bar, svt_threshold, out=x_spare, split=blocks.split)
                 # x_bar is free again: it holds the next SVT inputs and then
                 # the lookahead. x' and eps are rewritten in place: their old
                 # values were last read in the x_bar terms above.
-                dual_stacks = (x_next, state.x, p, q, x_bar, next_sq, change_sq)
+                dual_stacks = (x_next, x, p, q, x_bar, next_sq, change_sq)
                 if error_split:
                     np.subtract(x_next, transport, out=x_bar)
-                    if state.eps is not zero:
-                        np.multiply(state.eps, config.tau, out=scratch)
+                    if eps is not zero:
+                        np.multiply(eps, config.tau, out=scratch)
                         x_bar += scratch
-                    state.x_prime = _svt(x_bar, svt_threshold, out=state.x_prime,
-                                         split=blocks.split)
-                    np.subtract(x_next, state.x_prime, out=x_bar)
-                    state.eps = _svt(x_bar, eps_threshold, zero, out=eps_out,
-                                     split=blocks.split)
-                    dual_stacks += (state.x_prime,)
+                    x_prime = _svt(x_bar, svt_threshold, out=x_prime, split=blocks.split)
+                    np.subtract(x_next, x_prime, out=x_bar)
+                    eps = _svt(x_bar, eps_threshold, zero, out=eps_out, split=blocks.split)
+                    dual_stacks += (x_prime,)
                 blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
                 # Summed in frame order. A finite stack can still have an
@@ -472,14 +500,14 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 next_norm_sq = sum(next_sq.tolist())
                 if not math.isfinite(next_norm_sq) and not np.isfinite(x_next).all():
                     raise _NonFiniteInput("non-finite iterate")
-                re = _relative_error(x_next, state.x, sum(change_sq.tolist()), x_norm_sq)
-                x_spare, state.x = state.x, x_next
+                re = _relative_error(x_next, x, sum(change_sq.tolist()), x_norm_sq)
+                x_spare, x = x, x_next
                 x_norm_sq = next_norm_sq
                 re_series.append(re)
 
                 psnr_value = rmse_value = None
                 if track:
-                    psnr_value, rmse_value = _psnr_rmse(*ref_terms, state.x, magnitude)
+                    psnr_value, rmse_value = _psnr_rmse(*ref_terms, x, magnitude)
                     psnr_series.append(psnr_value)
                     rmse_series.append(rmse_value)
                 if on_iteration is not None:
@@ -496,16 +524,16 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             raise DivergenceError(f"solver state became non-finite at iteration {n}",
                                   iteration=n) from None
 
-    state.y = DualField(p, q[:, :, :-1])
     return SolveReport(
-        reconstruction=state.x,
+        reconstruction=x,
         iterations=len(re_series),
         re_series=tuple(re_series),
         psnr_series=tuple(psnr_series) if track else None,
         rmse_series=tuple(rmse_series) if track else None,
         duration_seconds=time.perf_counter() - started,
         terminated_by=terminated_by,
-        final_state=state,
+        final_state=SolverState(x, x_prime, eps,
+                                DualField(p[:, :-1, :], q[:, :, :-1])),
     )
 
 

@@ -448,6 +448,16 @@ class TestExitCodes:
         bad.write_text(json.dumps({"phantom": {}}))
         assert main(["reconstruct", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", [["reconstruct"], ["sweep", "--ratios", "0.3"]],
+                             ids=["reconstruct", "sweep"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        # deeper than the recursion limit: the JSON reader raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 3000 + "]" * 3000)
+        assert main([*command, "--config", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {deep}: not valid JSON: nested too deeply\n"
+
     # ids leave the section out, so the solver cases keep their names
     @pytest.mark.parametrize("section,key,value", BAD_FIELDS,
                              ids=[f"{key}-{value}" for _, key, value in BAD_FIELDS])
@@ -475,7 +485,6 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert main(["sweep", "--config", str(config), "--ratios", "0.3,abc"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_exits_3(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

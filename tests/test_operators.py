@@ -8,7 +8,6 @@ from rdledm import operators
 from rdledm.operators import (
     DualField,
     _dft2,
-    _grad_adjoint,
     _idft2,
     _svt,
     dft2_adjoint,
@@ -21,6 +20,7 @@ from rdledm.operators import (
     tv_seminorm,
 )
 from rdledm.sampling import adjoint_op, forward_op, make_mask
+from rdledm.solver import _grad_adjoint
 from rdledm.sequence import frobenius_norm, inner_product
 
 from conftest import random_sequence
@@ -137,8 +137,8 @@ class TestDifferences:
     @pytest.mark.parametrize("signed_zeros", [False, True])
     @pytest.mark.parametrize("rows,cols", [(2, 2), (5, 6), (3, 1031)])
     def test_padded_layout_matches_public_layout(self, rows, cols, signed_zeros):
-        # the solve loop keeps q as (T, m, n) with a zero last column; the
-        # kernel then runs its column terms on the flattened stack
+        # the solve loop keeps p and q as (T, m, n), with a zero last row
+        # and a zero last column; the kernel then runs on the flattened stacks
         gen = np.random.default_rng(rows * 10 + cols)
         if signed_zeros:
             draw = signed_zero_stack
@@ -147,10 +147,12 @@ class TestDifferences:
                 return random_sequence(gen, *shape)
         p = draw(gen, (3, rows - 1, cols))
         q = draw(gen, (3, rows, cols - 1))
-        padded = np.zeros((3, rows, cols), dtype=complex)
-        padded[:, :, :-1] = q
+        padded_p = np.zeros((3, rows, cols), dtype=complex)
+        padded_p[:, :-1, :] = p
+        padded_q = np.zeros((3, rows, cols), dtype=complex)
+        padded_q[:, :, :-1] = q
         out = np.full((3, rows, cols), np.nan + 1j)
-        assert _grad_adjoint(DualField(p, padded), out=out) is out
+        assert _grad_adjoint(padded_p, padded_q, out) is out
         expected = grad_adjoint(DualField(p, q))
         if signed_zeros:
             # only the signs of zeros may differ

@@ -79,6 +79,16 @@ class TestNorms:
         oracle = math.sqrt(math.fsum(abs(v) ** 2 for v in x.ravel()))
         assert frobenius_norm(x) == pytest.approx(oracle, rel=1e-12)
 
+    def test_overflowing_squares(self):
+        # the squared norm 6.4e401 overflows; the norm does not
+        x = np.full((2, 4, 4), 1e200 + 1e200j)
+        assert frobenius_norm(x) == pytest.approx(8e200, rel=1e-15)
+
+    def test_subnormal_entries(self):
+        # every square underflows to 0; the norm is sqrt(10) * 1e-310
+        x = np.array([[[3e-310, 1e-310j], [0, 0]]])
+        assert frobenius_norm(x) == pytest.approx(math.sqrt(10) * 1e-310, rel=1e-6, abs=0)
+
     def test_inner_product_counts_ones(self):
         ones = np.ones((1, 2, 2), dtype=complex)
         assert inner_product(ones, ones) == 4 + 0j

@@ -1,13 +1,17 @@
+import ctypes
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdledm.errors import CallbackError, DimensionError, DivergenceError
 from rdledm.experiment import load_experiment_config
@@ -123,12 +127,19 @@ class TestRelativeError:
         b = 1.1 * a
         assert relative_error(b[:, :, ::2], a[:, :, ::2]) == pytest.approx(0.01, rel=1e-9)
 
+    def test_subnormal_scale(self):
+        # 1 / 3e-310 overflows, so the rescale must not divide by the
+        # reciprocal of the scale
+        a = np.array([[[3e-310, 1e-310j], [0, 0]]])
+        b = a.copy()
+        b[0, 1, 0] = 1e-310
+        assert relative_error(b, a) == pytest.approx(0.1, rel=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             relative_error(np.zeros((1, 2, 2), dtype=complex),
                            np.zeros((1, 2, 3), dtype=complex))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("scale", [1e160, 1e200])
     def test_overflowing_squared_norms(self, rng, scale):
         a = random_sequence(rng, 2, 3, 3)
@@ -245,7 +256,6 @@ class TestSolveMechanics:
         with pytest.raises(DimensionError):
             rdledm_solve(bad, mask, run_config(max_iters=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_runaway_coupling_raises_divergence(self, small_problem):
         _, mask, data = small_problem
         config = run_config(max_iters=50, tau=1e150, epsilon_threshold=0.0)
@@ -372,7 +382,6 @@ def blas_threads():
 class TestThreadBudget:
     """A solve runs BLAS on one thread and restores the caller's count."""
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("outcome", ["return", "divergence", "callback", "interrupt"])
     def test_count_restored_on_every_exit(self, small_problem, blas_threads, outcome):
         _, mask, data = small_problem
@@ -472,6 +481,66 @@ class TestThreadBudget:
         assert report.iterations == 3
         assert seen == [before] * 3 and get() == before
 
+    def test_symbols_looked_up_once(self, monkeypatch):
+        # a names tuple not seen before takes one lookup, and the second
+        # hold reuses it
+        loads = []
+        real_cdll = ctypes.CDLL
+
+        def counting_cdll(*args, **kwargs):
+            loads.append(args)
+            return real_cdll(*args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+        monkeypatch.setattr(solver, "_BLAS_THREAD_CALLS",
+                            solver._BLAS_THREAD_CALLS + (("no_such_get", "no_such_set"),))
+        a = np.ones((4, 8, 8), dtype=complex)
+        assert [relative_error(2 * a, a) for _ in range(2)] == [1.0, 1.0]
+        assert len(loads) == 1
+
+
+# The configs of the hostile-input probe: defaults, strong coupling,
+# huge weights, the smallest and huge steps, a zero eps threshold, and
+# all weights zero.
+HOSTILE_CONFIGS = [
+    {},
+    {"tau": 0.5},
+    {"lambda1": 1e300, "lambda2": 1e300},
+    {"t1": 5e-324, "t2": 5e-324},
+    {"t1": 1e300, "t2": 1e300},
+    {"epsilon_threshold": 0.0},
+    {"lambda1": 0.0, "lambda2": 0.0, "tau": 0.0},
+]
+
+
+class TestHostileInput:
+    """Any finite problem ends in a finite report or a DivergenceError, silently."""
+
+    @settings(max_examples=150)
+    @given(frames=st.integers(1, 4), rows=st.integers(2, 9), cols=st.integers(2, 9),
+           exponent=st.integers(-310, 300), masking=st.sampled_from(["zeros", "ones", "random"]),
+           overrides=st.sampled_from(HOSTILE_CONFIGS), seed=st.integers(0, 2**32 - 1))
+    def test_finite_report_or_divergence(self, frames, rows, cols, exponent, masking,
+                                         overrides, seed):
+        gen = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        truth = random_sequence(gen, frames, rows, cols, scale=scale)
+        if masking == "random":
+            mask = gen.integers(0, 2, (frames, rows, cols))
+        else:
+            mask = np.full((frames, rows, cols), masking == "ones")
+        data = measure(truth, mask, 0.05 * scale, seed=seed)
+        config = SolverConfig(max_iters=30, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = rdledm_solve(data, mask, config, reference=truth)
+            except DivergenceError:
+                return
+        assert np.isfinite(report.reconstruction).all()
+        for series in (report.re_series, report.psnr_series, report.rmse_series):
+            assert not any(math.isnan(value) for value in series)
+
 
 class TestLoopShortcuts:
     """Skipped work and folded checks leave every bit and error as it was."""
@@ -566,7 +635,6 @@ class TestLoopShortcuts:
         assert np.abs(report.final_state.eps - eps).max() <= 1e-9 * np.abs(eps).max()
         assert np.allclose(report.reconstruction, x, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_x_bar_diverges_at_its_iteration(self, small_problem, monkeypatch,
@@ -576,8 +644,8 @@ class TestLoopShortcuts:
         original = solver._grad_adjoint
         calls = []
 
-        def poisoned(y, out):
-            original(y, out=out)
+        def poisoned(p, q, out):
+            original(p, q, out)
             calls.append(None)
             if len(calls) == 4:
                 out[1, 2, 3] = bad
@@ -590,7 +658,6 @@ class TestLoopShortcuts:
         assert excinfo.value.iteration == 4
         assert str(excinfo.value) == "solver state became non-finite at iteration 4"
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_in_a_pool_block_diverges(self, tiled_problem, monkeypatch,
@@ -602,8 +669,8 @@ class TestLoopShortcuts:
         original = solver._grad_adjoint
         pool_calls = []
 
-        def poisoned(y, out):
-            original(y, out=out)
+        def poisoned(p, q, out):
+            original(p, q, out)
             if len(out) == 3:
                 pool_calls.append(None)
                 if len(pool_calls) == 3:
@@ -638,7 +705,6 @@ class TestLoopShortcuts:
         assert excinfo.value.iteration == 4
         assert str(excinfo.value) == "solver state became non-finite at iteration 4"
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
     def test_finite_state_with_overflowing_norm_does_not_raise(self, small_problem, solve):
         _, mask, data = small_problem
@@ -654,6 +720,15 @@ class TestLoopShortcuts:
         # and the solve stops once two zero iterates follow (RE 0)
         _, mask, data = small_problem
         report = rdledm_solve(1e-170 * data, mask, run_config(max_iters=5, tol_re=1e-7))
+        assert report.re_series == (1.0, 0.0)
+        assert report.terminated_by == "tolerance"
+
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320])
+    def test_subnormal_state_does_not_stop_at_iteration_one(self, small_problem, scale):
+        # as above, with data whose largest part is subnormal
+        _, mask, data = small_problem
+        report = rdledm_solve(scale * data, mask, run_config(max_iters=5, tol_re=1e-7))
         assert report.re_series == (1.0, 0.0)
         assert report.terminated_by == "tolerance"
 
