@@ -39,7 +39,6 @@ from .errors import CallbackError, DimensionError, DivergenceError
 from .metrics import _psnr_rmse, _reference
 from .operators import (
     DualField,
-    _dft2,
     _idft2,
     _NonFiniteInput,
     _shrink_to_unit_disc,
@@ -349,19 +348,29 @@ def _grad_adjoint(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _primal_block(x, sampled, masked_data, p, q, transport, k, out, *,
-                  step, tv_step) -> None:
+def _fft_axes(mask: np.ndarray) -> tuple[int, ...]:
+    # The axes of the DFT pair in _primal_block. A mask whose every frame
+    # is constant along its columns samples whole k-space rows, so
+    # F^H M F = (F_r^H diag(m) F_r) (x) I: the column transforms cancel
+    # and one transform pair along the row axis gives the same operator.
+    # Every other mask takes the 2-D pair.
+    return (-2,) if (mask == mask[:, :, :1]).all() else (-2, -1)
+
+
+def _primal_block(x, sampled, aliased, p, q, transport, k, out, *,
+                  step, tv_step, axes) -> None:
     # For one frame block: transport <- tv_step * grad_adjoint(y), then
-    # out <- x - step * F^H (M F x - M b) - transport, evaluated in that
-    # order, with k as scratch. For a 0/1 mask M, F^H (M F x - M b)
-    # equals F^H ((M F x - b) M), the gradient of 1/2 ||A x - b||^2,
-    # whether or not b was masked.
+    # out <- x - step * (F^H M F x - F^H M b) - transport, evaluated in
+    # that order, with k as scratch and the DFT pair on the given axes
+    # (see _fft_axes). aliased is F^H M b, the zero-filled image, and
+    # F^H M F x - F^H M b is the gradient of 1/2 ||A x - b||^2 for a 0/1
+    # mask M, whether or not b was masked.
     _grad_adjoint(p, q, transport)
     transport *= tv_step
-    _dft2(x, out=k)
+    np.fft.fftn(x, axes=axes, norm="ortho", out=k)
     k *= sampled
-    k -= masked_data
-    _idft2(k, out=out)
+    np.fft.ifftn(k, axes=axes, norm="ortho", out=out)
+    out -= aliased
     out *= step
     np.subtract(x, out, out=out)
     out -= transport
@@ -416,8 +425,11 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # complex128 like the products with the uint8 mask it replaces, so
     # every masked value is bit-identical to forward_op/adjoint_op.
     sampled = mask.astype(np.complex128)
-    masked_data = data * sampled
-    init = _idft2(masked_data)
+    init = _idft2(data * sampled)
+    # F^H M b for the primal kernel: a copy, since init becomes the loop's
+    # spare buffer after the first iteration.
+    aliased = init.copy()
+    fft_axes = _fft_axes(mask)
     # eps for as long as the eps SVT returns its exact zero stack. Never
     # written to, so the loop can test `eps is zero`.
     zero = np.zeros_like(init)
@@ -467,9 +479,9 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             for n in range(1, config.max_iters + 1):
                 # transport = tv_step * grad_adjoint(y) and
                 # x_bar = x - fidelity_step * gradient - transport
-                blocks.run(_primal_block, x, sampled, masked_data, p, q,
+                blocks.run(_primal_block, x, sampled, aliased, p, q,
                            transport, scratch, x_bar,
-                           step=fidelity_step, tv_step=tv_step)
+                           step=fidelity_step, tv_step=tv_step, axes=fft_axes)
                 if error_split:
                     # While eps is the exact zero stack its tau * eps terms are
                     # skipped: they could change only the sign of a zero.

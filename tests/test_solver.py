@@ -51,6 +51,16 @@ def tiled_problem():
     return truth, mask, data
 
 
+@pytest.fixture(scope="module")
+def tiled_cartesian_problem():
+    # tiled_problem's shape with a cartesian mask: the DFT pair runs on the
+    # row axis alone, on one frame block of 5 or on blocks of 1, 2 and 2.
+    truth = generate_phantom(PhantomSpec(rows=48, cols=48, frames=5))
+    mask = make_mask("cartesian", 5, 48, 48, 0.4, seed=1)
+    data = measure(truth, mask, 0.02, seed=2)
+    return truth, mask, data
+
+
 def run_config(**overrides):
     base = dict(max_iters=40, tol_re=1e-300)
     base.update(overrides)
@@ -327,6 +337,24 @@ class TestFrameBlocks:
         if overrides:
             assert np.count_nonzero(report.final_state.eps) > 0
 
+    @pytest.mark.parametrize("solve,overrides", [
+        (baseline_tvnn_solve, {}),
+        (rdledm_solve, EPS_SWITCHES_ON),
+    ])
+    def test_row_axis_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
+                                             solve, overrides):
+        _, mask, data = tiled_cartesian_problem
+        assert solver._fft_axes(mask) == (-2,)
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+            report = solve(data, mask, run_config(max_iters=40, **overrides))
+            state = report.final_state
+            results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
+                            state.eps.tobytes(), state.y.p.tobytes(),
+                            state.y.q.tobytes(), report.re_series))
+        assert results[0] == results[1]
+
     def test_worker_rule(self, monkeypatch):
         # a thread per block only from 2**17 voxels per worker on
         monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -365,6 +393,85 @@ class TestFrameBlocks:
                                 env={**os.environ,
                                      "PYTHONPATH": str(Path(solver.__file__).parents[1])})
         assert result.stdout.strip() == "False"
+
+
+def _flipped(mask):
+    # mask with one entry of one frame flipped
+    mask = mask.copy()
+    mask[2, 0, 5] ^= 1
+    return mask
+
+
+AXES_CASES = {
+    "cartesian": lambda shape: make_mask("cartesian", *shape, 0.4, seed=1),
+    "static-cartesian": lambda shape: make_mask("cartesian", *shape, 0.4, seed=1,
+                                                static=True),
+    "all-zero": lambda shape: np.zeros(shape, dtype=np.uint8),
+    "all-one": lambda shape: np.ones(shape, dtype=np.uint8),
+    "radial": lambda shape: make_mask("radial", *shape, 0.4, seed=1),
+    "random2d": lambda shape: make_mask("random2d", *shape, 0.4, seed=1),
+    "cartesian-one-entry-flipped":
+        lambda shape: _flipped(make_mask("cartesian", *shape, 0.4, seed=1)),
+}
+
+
+class TestFftAxes:
+    @pytest.mark.parametrize("case,axes", [
+        ("cartesian", (-2,)),
+        ("static-cartesian", (-2,)),
+        ("all-zero", (-2,)),
+        ("all-one", (-2,)),
+        ("radial", (-2, -1)),
+        ("random2d", (-2, -1)),
+        ("cartesian-one-entry-flipped", (-2, -1)),
+    ])
+    def test_row_constant_masks_take_the_row_axis(self, case, axes):
+        assert solver._fft_axes(AXES_CASES[case]((4, 16, 12))) == axes
+
+    @pytest.mark.parametrize("solve,overrides", [
+        (rdledm_solve, {"tau": 0.02, "epsilon_threshold": 0.05}),
+        (baseline_tvnn_solve, {}),
+    ])
+    def test_row_axis_path_matches_two_axis_path(self, small_problem, monkeypatch, solve,
+                                                 overrides):
+        # The row axis and both axes give one operator, so the paths differ
+        # by round-off only (at most 3.1e-13 relative, in the RE series).
+        # Both subtract the zero-filled image F^H M b, so the row path also
+        # checks that the kernel is handed that image in each of its 40
+        # iterations, long after the loop has started to reuse its buffers
+        # (one worker, so one block: the whole stack).
+        truth, mask, data = small_problem
+        config = run_config(max_iters=40, **overrides)
+        chosen, subtracted = [], []
+        choose, kernel, zero_filled = solver._fft_axes, solver._primal_block, zero_fill(data, mask)
+
+        def spy(x, sampled, aliased, *stacks, **params):
+            subtracted.append(np.array_equal(aliased, zero_filled))
+            kernel(x, sampled, aliased, *stacks, **params)
+
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        monkeypatch.setattr(solver, "_primal_block", spy)
+        monkeypatch.setattr(solver, "_fft_axes",
+                            lambda m: chosen.append(choose(m)) or chosen[-1])
+        row = solve(data, mask, config, reference=truth)
+        assert chosen == [(-2,)] and subtracted == [True] * 40
+        monkeypatch.setattr(solver, "_primal_block", kernel)
+        monkeypatch.setattr(solver, "_fft_axes", lambda m: (-2, -1))
+        both = solve(data, mask, config, reference=truth)
+        rel = 1e-12
+
+        def stacks(report):
+            state = report.final_state
+            return {"x": state.x, "x_prime": state.x_prime, "eps": state.eps,
+                    "y.p": state.y.p, "y.q": state.y.q}
+
+        for (name, a), b in zip(stacks(row).items(), stacks(both).values()):
+            assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+        for series in ("re_series", "psnr_series", "rmse_series"):
+            np.testing.assert_allclose(getattr(row, series), getattr(both, series),
+                                       rtol=rel, atol=0, err_msg=series)
+        if overrides:
+            assert np.count_nonzero(both.final_state.eps) > 0
 
 
 @pytest.fixture
