@@ -9,6 +9,7 @@ divergence, 4 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -145,8 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: each subcommand's handler looks its cmd_*
+    # function up when it runs, so a reused parser still calls the current one.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except FileFormatError as exc:

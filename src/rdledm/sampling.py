@@ -11,7 +11,8 @@ Randomness is reproducible and frame-parallel: frame t of a mask or a
 noise realization depends only on (seed, t) through a dedicated PCG64
 substream, never on how many frames were drawn before it. A static mask
 draws frame 0 only, and one path repeats it for every pattern; the
-radial spoke search builds each spoke count it tries once.
+radial spoke search builds each spoke count it tries once, rasterising
+the spokes of every frame together into one flat mask.
 
 Mask files ("MASK1") mirror the sequence format: magic b"MASK1\\n", an
 ASCII "T m n" header line, then exactly T*m*n payload bytes, each 0 or 1.
@@ -110,7 +111,10 @@ def _cartesian_frame(rng, rows: int, cols: int, ratio: float) -> np.ndarray:
 
 def _boundary_extent(center: float, direction: np.ndarray, upper: float) -> np.ndarray:
     # Largest t >= 0 with 0 <= center + t*direction <= upper, per spoke.
-    with np.errstate(divide="ignore"):
+    # A zero direction takes the inf branch, and a tiny one may overflow to
+    # it; the quotients np.where drops for a zero one are inf or, on a
+    # 2-wide axis (center == upper), 0/0. None of these is an error.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(
             direction > 0,
             (upper - center) / direction,
@@ -118,38 +122,63 @@ def _boundary_extent(center: float, direction: np.ndarray, upper: float) -> np.n
         )
 
 
-def _radial_frame(rows: int, cols: int, spokes: int, offset: float) -> np.ndarray:
-    angles = offset + np.pi * np.arange(spokes) / spokes
-    dy, dx = np.sin(angles), np.cos(angles)
+def _chord_pixels(start: np.ndarray, step: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+    # Grid index of every point start + u*step along each chord: the
+    # nearest integer, clipped to the grid (clipping the rounded floats
+    # gives the same integers as clipping after the cast).
+    points = step[:, None] * u
+    points += start[:, None]
+    np.rint(points, out=points)
+    np.clip(points, 0, size - 1, out=points)
+    return points.astype(np.intp)
+
+
+def _radial_raster(rows: int, cols: int, spokes: int, offsets: np.ndarray) -> np.ndarray:
+    """(draws, rows, cols) stack: frame t holds ``spokes`` equally spaced
+    full-grid spokes through the center, rotated by ``offsets[t]``."""
+    draws = offsets.size
+    angles = offsets[:, None] + np.pi * np.arange(spokes) / spokes
+    dy, dx = np.sin(angles).ravel(), np.cos(angles).ravel()
     cy, cx = rows // 2, cols // 2
     t_fwd = np.minimum(_boundary_extent(cy, dy, rows - 1), _boundary_extent(cx, dx, cols - 1))
     t_bwd = np.minimum(_boundary_extent(cy, -dy, rows - 1), _boundary_extent(cx, -dx, cols - 1))
     r0, c0 = cy - t_bwd * dy, cx - t_bwd * dx
-    r1, c1 = cy + t_fwd * dy, cx + t_fwd * dx
+    dr, dc = cy + t_fwd * dy - r0, cx + t_fwd * dx - c0
+    frame_rows = np.repeat(np.arange(draws) * rows, spokes)
     # Sample each full-grid chord densely enough that consecutive points
     # land on adjacent pixels; rounding then yields a connected digital
     # line from boundary to boundary through the center.
     u = np.linspace(0.0, 1.0, rows + cols + 1)
-    rs = np.rint(r0[:, None] + u * (r1 - r0)[:, None]).astype(np.intp)
-    cs = np.rint(c0[:, None] + u * (c1 - c0)[:, None]).astype(np.intp)
-    frame = np.zeros((rows, cols), dtype=np.uint8)
-    frame[rs.clip(0, rows - 1), cs.clip(0, cols - 1)] = 1
-    return frame
+    out = np.zeros(draws * rows * cols, dtype=np.uint8)
+    # A block of chords holds at most 8192 points, so its three 8-byte
+    # point arrays stay cache-sized, and at most out.size/8: 3 bytes per
+    # mask entry at any spoke count.
+    block = max(1, min(8192, out.size // 8) // u.size)
+    for first in range(0, dy.size, block):
+        chords = slice(first, first + block)
+        # Flat index (t*rows + r)*cols + c of every chord point.
+        index = _chord_pixels(r0[chords], dr[chords], u, rows)
+        index += frame_rows[chords, None]
+        index *= cols
+        index += _chord_pixels(c0[chords], dc[chords], u, cols)
+        out[index] = 1
+    return out.reshape(draws, rows, cols)
 
 
 def _radial_mask(draws: int, rows: int, cols: int, ratio: float, seed: int) -> np.ndarray:
-    units = [float(_frame_rng(seed, t).random()) for t in range(draws)]
+    units = np.array([_frame_rng(seed, t).random() for t in range(draws)])
 
     def build(spokes: int) -> np.ndarray:
         # Offsets live in [0, pi/spokes): rotating further only permutes
         # the spoke set.
-        return np.stack([_radial_frame(rows, cols, spokes, u * np.pi / spokes) for u in units])
+        return _radial_raster(rows, cols, spokes, units * np.pi / spokes)
 
     # Each spoke count the search tries is built once; only the chosen
     # one is built again, for the result.
     @functools.cache
     def fraction(spokes: int) -> float:
-        return float(build(spokes).mean())
+        mask = build(spokes)
+        return np.count_nonzero(mask) / mask.size
 
     cap = 4 * (rows + cols)
     lo, hi = 1, 2

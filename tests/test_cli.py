@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdledm import experiment
-from rdledm.cli import main
+from rdledm import cli, experiment
+from rdledm.cli import build_parser, main
 from rdledm.errors import ConfigError
 from rdledm.experiment import (
     config_from_manifest,
@@ -395,6 +395,33 @@ class TestCliCommands:
         result = run_module(["--help"])
         assert result.returncode == 0
         assert "reconstruct" in result.stdout
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        def mask_args(name):
+            return ["mask", "--pattern", "cartesian", "--rows", "16", "--cols", "16",
+                    "--ratio", "0.5", "--out", str(tmp_path / name)]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert main(mask_args("a.mask")) == 0
+            assert main(mask_args("b.mask")) == 0
+            # the reused parser calls the cmd_* function current at call time
+            calls = []
+            monkeypatch.setattr(cli, "cmd_mask", lambda *args: calls.append(args) or 0)
+            assert main(mask_args("c.mask")) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert len(calls) == 1 and not (tmp_path / "c.mask").exists()
+        assert read_mask(tmp_path / "a.mask").tobytes() == read_mask(tmp_path / "b.mask").tobytes()
+        assert build_parser() is not build_parser()
 
 
 BAD_FIELDS = [

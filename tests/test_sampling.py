@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,13 @@ PINNED_MASKS = {
     ("random2d", 0.65, False): "6b14575b73eaceb3e3afa2bebce724ebc9a2d4d48924d06900c65a3491c7783a",
     ("random2d", 0.65, True): "82b500c6070ea0152421fe810b6ced9914e378ba625aa539fb6a6e3eeeea7aa1",
 }
+# SHA-256 of make_mask("radial", frames, rows, cols, 0.25, seed=17, static=static)
+# at the shapes the benchmark and the CLI chain use.
+PINNED_RADIAL = {
+    (20, 128, 128, False): "b7f0e5cf54dd52da75ccd3764a93b97dfc052d377711261e0990c053fa3c35d3",
+    (8, 64, 64, False): "5511df47ebde0ec579e510d4efc50f44d1c243fd5f539e01a65fb4784f721e59",
+    (8, 64, 64, True): "7137214ff92f8fc3a437b819a7b34d118e5b6d13b5384b629864567dbd669819",
+}
 # SHA-256 of measure(pinned_sequence(), radial 0.3 dynamic mask, sigma, seed=23).
 PINNED_MEASURE = {
     0.1: "4953a33575b3dcba81ba7935ce6d0262b0e64bd7c62528416ac582cdcde13a52",
@@ -338,6 +346,13 @@ class TestPinnedAcquisition:
         assert mask.dtype == np.uint8 and mask.shape == (5, 37, 50)
         assert sha256(mask) == PINNED_MASKS[key]
         assert mask.flags.c_contiguous and mask.flags.owndata and mask.flags.writeable
+
+    @pytest.mark.parametrize("key", sorted(PINNED_RADIAL))
+    def test_radial_mask_bytes(self, key):
+        frames, rows, cols, static = key
+        mask = make_mask("radial", frames, rows, cols, 0.25, seed=17, static=static)
+        assert mask.dtype == np.uint8 and mask.shape == (frames, rows, cols)
+        assert sha256(mask) == PINNED_RADIAL[key]
 
     @pytest.mark.parametrize("sigma", sorted(PINNED_MEASURE))
     def test_measure_bytes(self, sigma):
@@ -369,18 +384,69 @@ class TestPinnedAcquisition:
                                               ((1, 96, 64), False), ((6, 64, 48), True)])
     def test_radial_search_builds_each_spoke_count_once(self, monkeypatch, shape, static):
         frames, rows, cols = shape
-        draws = 1 if static else frames
-        spokes = []
-        radial_frame = sampling._radial_frame
+        builds = []
+        radial_raster = sampling._radial_raster
 
-        def counting(rows, cols, count, offset):
-            spokes.append(count)
-            return radial_frame(rows, cols, count, offset)
+        def counting(rows, cols, spokes, offsets):
+            builds.append(spokes)
+            assert offsets.shape == (1 if static else frames,)
+            return radial_raster(rows, cols, spokes, offsets)
 
-        monkeypatch.setattr(sampling, "_radial_frame", counting)
+        monkeypatch.setattr(sampling, "_radial_raster", counting)
         make_mask("radial", frames, rows, cols, 0.25, seed=5, static=static)
-        builds = spokes[::draws]
-        assert len(spokes) == draws * len(builds)
         # every count once, then the chosen one again for the result
         assert len(builds) == len(set(builds)) + 1
         assert builds[-1] in builds[:-1]
+
+
+def radial_frame_oracle(rows, cols, spokes, offset):
+    # One frame at a time, each spoke stored through 2-D fancy indexing:
+    # the raster's per-frame reference.
+    angles = offset + np.pi * np.arange(spokes) / spokes
+    dy, dx = np.sin(angles), np.cos(angles)
+    cy, cx = rows // 2, cols // 2
+    extent = sampling._boundary_extent
+    t_fwd = np.minimum(extent(cy, dy, rows - 1), extent(cx, dx, cols - 1))
+    t_bwd = np.minimum(extent(cy, -dy, rows - 1), extent(cx, -dx, cols - 1))
+    r0, c0 = cy - t_bwd * dy, cx - t_bwd * dx
+    r1, c1 = cy + t_fwd * dy, cx + t_fwd * dx
+    u = np.linspace(0.0, 1.0, rows + cols + 1)
+    rs = np.rint(r0[:, None] + u * (r1 - r0)[:, None]).astype(np.intp)
+    cs = np.rint(c0[:, None] + u * (c1 - c0)[:, None]).astype(np.intp)
+    frame = np.zeros((rows, cols), dtype=np.uint8)
+    frame[rs.clip(0, rows - 1), cs.clip(0, cols - 1)] = 1
+    return frame
+
+
+@st.composite
+def raster_cases(draw):
+    rows = draw(st.integers(2, 70))
+    cols = draw(st.integers(2, 70))
+    spokes = draw(st.integers(1, 4 * (rows + cols)))
+    units = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+    return rows, cols, spokes, np.array(units) * np.pi / spokes
+
+
+class TestRadialRaster:
+    @settings(max_examples=60, deadline=None)
+    @given(raster_cases())
+    def test_matches_per_frame_oracle(self, case):
+        rows, cols, spokes, offsets = case
+        raster = sampling._radial_raster(rows, cols, spokes, offsets)
+        expected = np.stack([radial_frame_oracle(rows, cols, spokes, o) for o in offsets])
+        assert raster.dtype == np.uint8 and raster.shape == expected.shape
+        assert raster.tobytes() == expected.tobytes()
+
+    def test_scratch_stays_within_one_complex_stack(self):
+        # Chord points are rasterised in blocks: at a high ratio the search
+        # probes up to hundreds of spokes per frame, and its scratch still
+        # stays within one complex128 stack of the mask's shape.
+        shape = (20, 128, 128)
+        tracemalloc.start()
+        try:
+            mask = make_mask("radial", *shape, 0.9, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(achieved_ratio(mask) - 0.9) <= 0.02
+        assert peak <= np.empty(shape, dtype=np.complex128).nbytes
