@@ -14,6 +14,7 @@ of the solver relies on.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -116,11 +117,31 @@ class _NonFiniteInput(Exception):
     """Raised when an SVT input or a solve's iterate holds a NaN or an infinity."""
 
 
-# Pixel columns of the (T, m*n) Casorati view per partial Gram matrix. A
-# tile of up to 60 frames and its conjugate stay in a core's cache while
-# the tile is scaled, conjugated and multiplied; the partition does not
-# depend on the worker count, so neither do the partial sums.
-_GRAM_TILE = 1024
+def _frame_squared_norms(x: np.ndarray, out: np.ndarray) -> None:
+    # out[t] <- ||x[t]||^2. The contiguous copy (of strided input only)
+    # lets the float64 view exist. An overflow to +inf is handled by every
+    # caller.
+    parts = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
+    with np.errstate(over="ignore"):
+        np.vecdot(parts, parts, out=out)
+
+
+# Pixel columns of the (T, m*n) Casorati view per partial Gram matrix: a
+# 64 x 64 frame is one tile. The partition depends on the frame size
+# alone, not on the worker count, so neither do the partial sums.
+_GRAM_TILE = 4096
+
+
+def _gram_tiles(pixels: int) -> int:
+    return -(-pixels // _GRAM_TILE)
+
+
+# ||C||_F^2 range in which the Gram matrix is formed from the undivided
+# tiles. Below pixels * _GRAM_FLOOR, products that underflow could add
+# more than one unit of round-off to a Gram entry; above _GRAM_CEILING a
+# partial sum, bounded by ||C||_F^2 up to round-off, could overflow.
+_GRAM_FLOOR = 2.0 * sys.float_info.min
+_GRAM_CEILING = sys.float_info.max / 4.0
 
 
 def _whole(kernel, count: int) -> None:
@@ -149,59 +170,91 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     # to, so it can tell that result by identity), else zeros written to
     # `out` or to a new stack. Otherwise the result is written to `out`
     # (a C-contiguous stack that does not overlap x) or to a new stack.
+    # Once a Gram is formed, `out` has served as its scratch, also when
+    # `zero` is returned.
     # `split(kernel, count)` runs kernel(part) on contiguous parts that
     # cover range(count), possibly in parallel; it carries the per-frame
-    # extremes and both O(m*n*T^2) products, over groups of whole tiles.
-    # The T x T steps (sum of the partial Grams, eigh, shrink) stay on the
-    # calling thread.
+    # norms (and extremes) and both O(m*n*T^2) products, over groups of
+    # whole tiles. The T x T steps (sum of the partial Grams, eigh,
+    # shrink) stay on the calling thread.
     frames = x.shape[0]
     flat = np.ascontiguousarray(x).reshape(frames, -1)
-    # C is divided by its largest real or imaginary part, so that neither
-    # ||C||_F nor the Gram matrix C^H C overflows or underflows for any
-    # finite input (squaring raw entries above ~1e154 overflows). The
-    # division runs on the float64 view: the same values as a complex
-    # division by a real scale, several times faster.
-    parts = flat.view(np.float64)
-    highs, lows = np.empty(frames), np.empty(frames)
-
-    def extremes(block: slice) -> None:
-        np.max(parts[block], axis=1, out=highs[block])
-        np.min(parts[block], axis=1, out=lows[block])
-
-    split(extremes, frames)
-    scale = max(float(highs.max()), -float(lows.min()))
-    # The reductions propagate NaN and reach inf on an infinite part, so
-    # this is the finiteness check, before any other arithmetic.
-    if not math.isfinite(scale):
-        raise _NonFiniteInput("singular value thresholding of a non-finite stack")
-    # Every entry has modulus <= sqrt(2) * scale, so ||C||_F <=
-    # sqrt(2 * entries) * scale, and no singular value exceeds ||C||_F.
-    # This also covers the zero stack (scale 0) and threshold +inf.
-    if math.sqrt(2.0 * flat.size) * scale <= threshold:
-        return _svt_zero(x, zero, out)
-
     pixels = flat.shape[1]
-    tiles = -(-pixels // _GRAM_TILE)
+    norms = np.empty(frames)
+
+    def squared_norms(block: slice) -> None:
+        _frame_squared_norms(flat[block], norms[block])
+
+    split(squared_norms, frames)
+    # Summed in frame order. A NaN or an infinite part makes the sum NaN
+    # or +inf, and so does a finite stack whose squares overflow; either
+    # fails the range test and takes the divided path below.
+    total = sum(norms.tolist())
+    if pixels * _GRAM_FLOOR <= total <= _GRAM_CEILING:
+        # No singular value exceeds ||C||_F. This also covers threshold
+        # +inf.
+        if math.sqrt(total) <= threshold:
+            return _svt_zero(x, zero, out)
+        scale = 1.0
+        divisor = None
+    else:
+        # C is divided by its largest real or imaginary part, so that
+        # neither ||C||_F nor the Gram matrix C^H C overflows or
+        # underflows for any finite input (squaring raw entries above
+        # ~1e154 overflows). The division runs on the float64 view: the
+        # same values as a complex division by a real scale, several
+        # times faster.
+        parts = flat.view(np.float64)
+        highs, lows = np.empty(frames), np.empty(frames)
+
+        def extremes(block: slice) -> None:
+            np.max(parts[block], axis=1, out=highs[block])
+            np.min(parts[block], axis=1, out=lows[block])
+
+        split(extremes, frames)
+        scale = max(float(highs.max()), -float(lows.min()))
+        # The reductions propagate NaN and reach inf on an infinite part,
+        # so this is the finiteness check, before any other arithmetic.
+        if not math.isfinite(scale):
+            raise _NonFiniteInput("singular value thresholding of a non-finite stack")
+        # Every entry has modulus <= sqrt(2) * scale, so ||C||_F <=
+        # sqrt(2 * entries) * scale. This also covers the zero stack
+        # (scale 0).
+        if math.sqrt(2.0 * flat.size) * scale <= threshold:
+            return _svt_zero(x, zero, out)
+        divisor = scale
+
+    tiles = _gram_tiles(pixels)
     partial = np.empty((tiles, frames, frames), dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(x)
+    out_flat = out.reshape(frames, -1)
 
     def gram(group: slice) -> None:
-        # One partial Gram per tile, from the tile divided by the scale
-        # and its conjugate, both formed while the tile is in cache.
-        buffer = np.empty((2, frames, _GRAM_TILE), dtype=np.complex128)
+        # One partial Gram per tile, from the tile (on the divided path,
+        # divided by the scale first) and its conjugate, both formed while
+        # the tile is in cache. The conjugate goes to the tile's columns
+        # of `out`, which the rebuild overwrites.
+        scaled = (None if divisor is None
+                  else np.empty((frames, min(_GRAM_TILE, pixels)), dtype=np.complex128))
         for tile in range(group.start, group.stop):
             lo = tile * _GRAM_TILE
             hi = min(lo + _GRAM_TILE, pixels)
-            scaled = buffer[0, :, :hi - lo]
-            conjugate = buffer[1, :, :hi - lo]
-            np.divide(parts[:, 2 * lo:2 * hi], scale, out=scaled.view(np.float64))
-            np.conjugate(scaled, out=conjugate)
-            np.matmul(conjugate, scaled.T, out=partial[tile])
+            part = flat[:, lo:hi]
+            if scaled is not None:
+                part = scaled[:, :hi - lo]
+                np.divide(parts[:, 2 * lo:2 * hi], divisor, out=part.view(np.float64))
+            conjugate = out_flat[:, lo:hi]
+            np.conjugate(part, out=conjugate)
+            np.matmul(conjugate, part.T, out=partial[tile])
 
     split(gram, tiles)
     # Added in tile order, so the sum does not depend on the grouping.
     gram_matrix = partial.sum(axis=0)
-    # ||C||_F from the trace: again, no singular value can exceed it.
-    if scale * math.sqrt(float(gram_matrix.diagonal().real.sum())) <= threshold:
+    # ||C||_F of the divided stack from the trace: again, no singular
+    # value can exceed it.
+    if (divisor is not None
+            and scale * math.sqrt(float(gram_matrix.diagonal().real.sum())) <= threshold):
         return _svt_zero(x, zero, out)
     try:
         eigenvalues, vectors = np.linalg.eigh(gram_matrix)
@@ -220,9 +273,6 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     # check this; cutting the rows of the product instead does change
     # bits).
     shrink_t = ((vectors * factor) @ vectors.conj().T).T
-    if out is None:
-        out = np.empty_like(x)
-    out_flat = out.reshape(frames, -1)
 
     def rebuild(group: slice) -> None:
         columns = slice(group.start * _GRAM_TILE, min(group.stop * _GRAM_TILE, pixels))

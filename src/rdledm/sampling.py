@@ -133,9 +133,12 @@ def _chord_pixels(start: np.ndarray, step: np.ndarray, u: np.ndarray, size: int)
     return points.astype(np.intp)
 
 
-def _radial_raster(rows: int, cols: int, spokes: int, offsets: np.ndarray) -> np.ndarray:
+def _radial_raster(rows: int, cols: int, spokes: int, offsets: np.ndarray,
+                   frames: int) -> np.ndarray:
     """(draws, rows, cols) stack: frame t holds ``spokes`` equally spaced
-    full-grid spokes through the center, rotated by ``offsets[t]``."""
+    full-grid spokes through the center, rotated by ``offsets[t]``.
+    ``frames`` is the frame count of the mask the stack becomes (a static
+    mask repeats its one draw), which sizes the blocks of chords."""
     draws = offsets.size
     angles = offsets[:, None] + np.pi * np.arange(spokes) / spokes
     dy, dx = np.sin(angles).ravel(), np.cos(angles).ravel()
@@ -151,9 +154,9 @@ def _radial_raster(rows: int, cols: int, spokes: int, offsets: np.ndarray) -> np
     u = np.linspace(0.0, 1.0, rows + cols + 1)
     out = np.zeros(draws * rows * cols, dtype=np.uint8)
     # A block of chords holds at most 8192 points, so its three 8-byte
-    # point arrays stay cache-sized, and at most out.size/8: 3 bytes per
-    # mask entry at any spoke count.
-    block = max(1, min(8192, out.size // 8) // u.size)
+    # point arrays stay cache-sized, and at most 1/8 point per entry of
+    # the returned mask: 3 bytes per entry at any spoke count.
+    block = max(1, min(8192, frames * rows * cols // 8) // u.size)
     for first in range(0, dy.size, block):
         chords = slice(first, first + block)
         # Flat index (t*rows + r)*cols + c of every chord point.
@@ -165,13 +168,14 @@ def _radial_raster(rows: int, cols: int, spokes: int, offsets: np.ndarray) -> np
     return out.reshape(draws, rows, cols)
 
 
-def _radial_mask(draws: int, rows: int, cols: int, ratio: float, seed: int) -> np.ndarray:
+def _radial_mask(draws: int, frames: int, rows: int, cols: int, ratio: float,
+                 seed: int) -> np.ndarray:
     units = np.array([_frame_rng(seed, t).random() for t in range(draws)])
 
     def build(spokes: int) -> np.ndarray:
         # Offsets live in [0, pi/spokes): rotating further only permutes
         # the spoke set.
-        return _radial_raster(rows, cols, spokes, units * np.pi / spokes)
+        return _radial_raster(rows, cols, spokes, units * np.pi / spokes, frames)
 
     # Each spoke count the search tries is built once; only the chosen
     # one is built again, for the result.
@@ -249,7 +253,7 @@ def make_mask(pattern: str, frames: int, rows: int, cols: int, ratio: float,
 
     draws = 1 if static else frames
     if pattern == "radial":
-        centered = _radial_mask(draws, rows, cols, ratio, seed)
+        centered = _radial_mask(draws, frames, rows, cols, ratio, seed)
     else:
         draw = _cartesian_frame if pattern == "cartesian" else _random2d_frame
         centered = np.stack([draw(_frame_rng(seed, t), rows, cols, ratio) for t in range(draws)])

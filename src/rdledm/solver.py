@@ -39,6 +39,8 @@ from .errors import CallbackError, DimensionError, DivergenceError
 from .metrics import _psnr_rmse, _reference
 from .operators import (
     DualField,
+    _frame_squared_norms,
+    _gram_tiles,
     _idft2,
     _NonFiniteInput,
     _shrink_to_unit_disc,
@@ -131,15 +133,6 @@ class SolveReport:
     final_state: SolverState = field(repr=False, default=None)
 
 
-def _frame_squared_norms(x: np.ndarray, out: np.ndarray) -> None:
-    # out[t] <- ||x[t]||^2. The contiguous copy (of strided input only)
-    # lets the float64 view exist. An overflow to +inf is handled by every
-    # caller.
-    parts = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
-    with np.errstate(over="ignore"):
-        np.vecdot(parts, parts, out=out)
-
-
 def _squared_norm(x: np.ndarray) -> float:
     # The per-frame norms summed in frame order, as the solve loop sums
     # those its dual kernel writes.
@@ -222,12 +215,12 @@ def _find_blas_thread_calls(names):
 class _OneBlasThread:
     """Holds NumPy's BLAS at one thread while a solve or relative_error runs.
 
-    A solve's only BLAS calls are the SVT products and the squared norms.
-    At these sizes threads make them no faster, and after a threaded call
-    OpenBLAS's workers keep spinning on the other cores, which the frame
-    blocks need. One thread also makes the dot products behind the
-    relative error, the solve's series and the public call alike,
-    independent of the host's BLAS thread count.
+    A solve's only BLAS calls are the SVT products, the dense row
+    products and the squared norms. At these sizes threads make them no
+    faster, and after a threaded call OpenBLAS's workers keep spinning on
+    the other cores, which the frame blocks need. One thread also makes
+    the dot products behind the relative error, the solve's series and
+    the public call alike, independent of the host's BLAS thread count.
 
     The count belongs to the process, so holders overlapping in several
     threads share one hold: the first to enter saves the count and sets 1,
@@ -286,10 +279,11 @@ def _worker_count(frames: int, rows: int, cols: int) -> int:
 class _FrameBlocks:
     """Runs a kernel on contiguous parts of an axis, one part per worker.
 
-    :meth:`split` cuts ``range(count)`` into one contiguous part per
-    worker (none empty); the calling thread runs the first part and pool
-    threads the rest. :meth:`run` splits the frame axis of the stacks it
-    is given; the SVT splits its pixel tiles. Every kernel writes each
+    :meth:`split` runs a kernel on one contiguous part of ``range(count)``
+    per worker (none empty); the calling thread runs the first part and
+    pool threads the rest. The parts are cut once, for the two counts a
+    solve splits. :meth:`run` splits the frame axis of the stacks it is
+    given; the SVT splits its pixel tiles. Every kernel writes each
     entry of its part from that part's inputs alone, and the cut does not
     change what a frame or a tile computes, so results are bit-identical
     for any worker count. On one worker there is no pool; otherwise it
@@ -297,8 +291,10 @@ class _FrameBlocks:
     """
 
     def __init__(self, shape: tuple[int, int, int]):
-        self._frames = shape[0]
+        frames, rows, cols = shape
+        self._frames = frames
         self._workers = _worker_count(*shape)
+        self._parts = {count: self._cut(count) for count in (frames, _gram_tiles(rows * cols))}
         self._pool = None
         if self._workers > 1:
             # Imported here: a process that never runs a pool (most CLI
@@ -317,9 +313,13 @@ class _FrameBlocks:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def split(self, kernel, count: int) -> None:
+    def _cut(self, count: int) -> tuple[slice, list[slice]]:
         edges = [count * w // self._workers for w in range(self._workers + 1)]
         first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        return first, rest
+
+    def split(self, kernel, count: int) -> None:
+        first, rest = self._parts[count]
         jobs = [self._pool.submit(kernel, part) for part in rest]
         kernel(first)
         for job in jobs:
@@ -348,23 +348,53 @@ def _grad_adjoint(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fft_axes(mask: np.ndarray) -> tuple[int, ...]:
-    # The axes of the DFT pair in _primal_block. A mask whose every frame
-    # is constant along its columns samples whole k-space rows, so
-    # F^H M F = (F_r^H diag(m) F_r) (x) I: the column transforms cancel
-    # and one transform pair along the row axis gives the same operator.
-    # Every other mask takes the 2-D pair.
-    return (-2,) if (mask == mask[:, :, :1]).all() else (-2, -1)
+# Row-constant masks on frames of at most this many rows take the dense
+# row operator: its product costs O(m) per entry against the DFT pair's
+# O(log m). Measured on one core of a 2-core x86_64 host (primal kernel,
+# ms per call, the DFT pair on the row axis against the dense product):
+# 8x64x64 0.61/0.46, 20x64x64 2.36/1.83 and 8x64x256 4.03/2.79 win,
+# 8x96x96 1.81/1.57 and 8x112x112 3.41/2.96 win by less, 8x128x128
+# 4.21/4.28 and 20x128x128 9.42/8.65 tie, 8x144x144 5.67/6.07,
+# 8x192x192 9.21/9.82 and 8x256x64 4.26/7.46 lose.
+_DENSE_ROWS = 128
 
 
-def _primal_block(x, sampled, aliased, p, q, transport, k, out, *,
+def _fidelity_operator(mask: np.ndarray) -> str:
+    # How the primal kernel applies F^H M F. A mask whose every frame is
+    # constant along its columns samples whole k-space rows, so
+    # F^H M F = (F_r^H diag(m_t) F_r) (x) I per frame: the column
+    # transforms cancel. On frames of up to _DENSE_ROWS rows that m x m
+    # matrix is applied as a dense product ("dense"), on taller ones as a
+    # DFT pair along the row axis ("rows"). Every other mask takes the
+    # 2-D DFT pair ("frames").
+    if not (mask == mask[:, :, :1]).all():
+        return "frames"
+    return "dense" if mask.shape[1] <= _DENSE_ROWS else "rows"
+
+
+_FFT_AXES = {"rows": (-2,), "frames": (-2, -1)}
+
+
+def _row_operator(mask: np.ndarray, step: float) -> np.ndarray:
+    # R[t] = I - step * F_r^H diag(m_t) F_r for a row-constant mask, a
+    # (T, m, m) stack: the unitary DFT pair along the rows applied to the
+    # identity, with column 0 of each frame's mask on the diagonal.
+    rows = mask.shape[1]
+    operator = np.fft.fft(np.eye(rows), axis=0, norm="ortho") * mask[:, :, :1]
+    np.fft.ifft(operator, axis=-2, norm="ortho", out=operator)
+    operator *= -step
+    operator.reshape(len(mask), -1)[:, ::rows + 1] += 1.0
+    return operator
+
+
+def _primal_block(x, p, q, transport, out, sampled, aliased, k, *,
                   step, tv_step, axes) -> None:
     # For one frame block: transport <- tv_step * grad_adjoint(y), then
     # out <- x - step * (F^H M F x - F^H M b) - transport, evaluated in
     # that order, with k as scratch and the DFT pair on the given axes
-    # (see _fft_axes). aliased is F^H M b, the zero-filled image, and
-    # F^H M F x - F^H M b is the gradient of 1/2 ||A x - b||^2 for a 0/1
-    # mask M, whether or not b was masked.
+    # (see _fidelity_operator). aliased is F^H M b, the zero-filled image,
+    # and F^H M F x - F^H M b is the gradient of 1/2 ||A x - b||^2 for a
+    # 0/1 mask M, whether or not b was masked.
     _grad_adjoint(p, q, transport)
     transport *= tv_step
     np.fft.fftn(x, axes=axes, norm="ortho", out=k)
@@ -373,6 +403,18 @@ def _primal_block(x, sampled, aliased, p, q, transport, k, out, *,
     out -= aliased
     out *= step
     np.subtract(x, out, out=out)
+    out -= transport
+
+
+def _dense_primal_block(x, p, q, transport, out, operator, shift, *, tv_step) -> None:
+    # _primal_block for the dense row operator: out <- R x + c - transport
+    # with R from _row_operator and c = step * F^H M b, the same operator
+    # as x - step * (F^H M F x - F^H M b). One product per frame, no
+    # scratch.
+    _grad_adjoint(p, q, transport)
+    transport *= tv_step
+    np.matmul(operator, x, out=out)
+    out += shift
     out -= transport
 
 
@@ -422,14 +464,23 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     eps_threshold = config.resolved_epsilon_threshold()
     dual_step = config.t2 * config.lambda1
 
-    # complex128 like the products with the uint8 mask it replaces, so
-    # every masked value is bit-identical to forward_op/adjoint_op.
-    sampled = mask.astype(np.complex128)
-    init = _idft2(data * sampled)
-    # F^H M b for the primal kernel: a copy, since init becomes the loop's
-    # spare buffer after the first iteration.
-    aliased = init.copy()
-    fft_axes = _fft_axes(mask)
+    # adjoint_op(data, mask): the zero-filled image F^H M b.
+    init = _idft2(data * mask)
+    # The primal kernel's operands after x, p, q, transport and its
+    # output. Each path holds its own multiple of F^H M b: init itself
+    # becomes the loop's spare buffer after the first iteration.
+    operator = _fidelity_operator(mask)
+    if operator == "dense":
+        primal = _dense_primal_block
+        fidelity = (_row_operator(mask, fidelity_step), init * fidelity_step)
+        params = {"tv_step": tv_step}
+    else:
+        # complex128 like the products with the uint8 mask it replaces, so
+        # every masked value is bit-identical to forward_op/adjoint_op; the
+        # last operand is the k-space scratch of the DFT pair.
+        primal = _primal_block
+        fidelity = (mask.astype(np.complex128), init.copy(), np.empty_like(init))
+        params = {"step": fidelity_step, "tv_step": tv_step, "axes": _FFT_AXES[operator]}
     # eps for as long as the eps SVT returns its exact zero stack. Never
     # written to, so the loop can test `eps is zero`.
     zero = np.zeros_like(init)
@@ -438,13 +489,12 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # _dual_block); final_state.y has the public shapes.
     p = np.zeros_like(init)
     q = np.zeros_like(init)
-    # Reused every iteration: scratch (k-space inside the FFT pair, then
-    # any temporary), the primal point being built (x_bar, then the
-    # lookahead), the scaled transport tv_step * grad_adjoint(y), the
+    # Reused every iteration: the primal point being built (x_bar, then
+    # the lookahead), the scaled transport tv_step * grad_adjoint(y), the
     # next iterate (it alternates with x, whose old values are dead once
     # the dual step has run), eps while it is not the zero stack, and the
-    # per-frame squared norms of x_next and x_next - x.
-    scratch = np.empty_like(init)
+    # per-frame squared norms of x_next and x_next - x. The tau terms are
+    # formed in x_spare and in transport while those hold nothing live.
     x_bar = np.empty_like(init)
     transport = np.empty_like(init)
     x_spare = np.empty_like(init)
@@ -464,33 +514,31 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
 
     # One thread budget: BLAS on one thread, and the workers of
     # _FrameBlocks run the two frame-block kernels and, in each SVT, the
-    # per-frame extremes and both products (on groups of pixel tiles).
+    # per-frame norms and both products (on groups of pixel tiles).
     # The calling thread keeps the T x T steps of the SVTs (partial Gram
     # sum, eigh, shrink), the tau terms, the sums of the per-frame norms,
     # the relative error and PSNR/RMSE. Finiteness is checked without
-    # scans of its own: _svt tests its input through the extremes it
-    # takes anyway, and x_next is scanned only when its squared norm is
-    # not finite. Either raises _NonFiniteInput, which ends the solve
-    # with a DivergenceError; the overflow and NaN on the way there are
-    # not warned of (_LOOP_ERRORS, on the workers too).
+    # scans of its own: _svt takes its input's extremes whenever the sum
+    # of its squared norms is not finite, and x_next is scanned only when
+    # its squared norm is not finite. Either raises _NonFiniteInput, which
+    # ends the solve with a DivergenceError; the overflow and NaN on the
+    # way there are not warned of (_LOOP_ERRORS, on the workers too).
     with _ONE_BLAS_THREAD, np.errstate(**_LOOP_ERRORS), _FrameBlocks(data.shape) as blocks:
         x_norm_sq = _squared_norm(x)
         try:
             for n in range(1, config.max_iters + 1):
                 # transport = tv_step * grad_adjoint(y) and
                 # x_bar = x - fidelity_step * gradient - transport
-                blocks.run(_primal_block, x, sampled, aliased, p, q,
-                           transport, scratch, x_bar,
-                           step=fidelity_step, tv_step=tv_step, axes=fft_axes)
+                blocks.run(primal, x, p, q, transport, x_bar, *fidelity, **params)
                 if error_split:
                     # While eps is the exact zero stack its tau * eps terms are
                     # skipped: they could change only the sign of a zero.
                     if eps is zero:
-                        np.multiply(x_prime, config.tau, out=scratch)
+                        np.multiply(x_prime, config.tau, out=x_spare)
                     else:
-                        np.add(x_prime, eps, out=scratch)
-                        scratch *= config.tau
-                    x_bar += scratch
+                        np.add(x_prime, eps, out=x_spare)
+                        x_spare *= config.tau
+                    x_bar += x_spare
                 x_next = _svt(x_bar, svt_threshold, out=x_spare, split=blocks.split)
                 # x_bar is free again: it holds the next SVT inputs and then
                 # the lookahead. x' and eps are rewritten in place: their old
@@ -499,8 +547,8 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 if error_split:
                     np.subtract(x_next, transport, out=x_bar)
                     if eps is not zero:
-                        np.multiply(eps, config.tau, out=scratch)
-                        x_bar += scratch
+                        np.multiply(eps, config.tau, out=transport)
+                        x_bar += transport
                     x_prime = _svt(x_bar, svt_threshold, out=x_prime, split=blocks.split)
                     np.subtract(x_next, x_prime, out=x_bar)
                     eps = _svt(x_bar, eps_threshold, zero, out=eps_out, split=blocks.split)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -301,9 +304,9 @@ class TestSvtAgainstSvd:
 
 
 class TestSvtTiles:
-    # 5 frames of 48 x 48: the Gram matrix is summed from two whole tiles
-    # of pixel columns and a partial third.
-    SHAPE = (5, 48, 48)
+    # 5 frames of 100 x 100: the Gram matrix is summed from two whole
+    # tiles of pixel columns and a partial third.
+    SHAPE = (5, 100, 100)
 
     def test_shape_spans_several_tiles(self):
         pixels = self.SHAPE[1] * self.SHAPE[2]
@@ -336,16 +339,18 @@ class TestSvtTiles:
         assert out.tobytes() == _svt(x, threshold).tobytes()
 
     def test_zero_shortcuts(self, rng):
-        # Above sqrt(2 * entries) * scale no Gram is formed; between that
-        # bound and ||C||_F the Gram is formed, and its trace decides.
+        # At or above ||C||_F only the squared norms are taken; below it the
+        # Gram is formed, and its eigenvalues decide.
         x = random_sequence(rng, *self.SHAPE)
-        scale = np.abs(x.view(np.float64)).max()
-        bound = np.sqrt(2 * x.size) * scale
-        norm = frobenius_norm(x)
-        assert norm < bound
+        norms = np.empty(self.SHAPE[0])
+        operators._frame_squared_norms(x, norms)
+        norm = math.sqrt(sum(norms.tolist()))
+        assert norm == pytest.approx(frobenius_norm(x), rel=1e-14)
+        assert top_singular_value(x) < 0.99 * norm
         zero = np.zeros_like(x)
-        for threshold, kernels in ((bound, ["extremes"]),
-                                   (norm * 1.01, ["extremes", "gram"])):
+        for threshold, kernels in ((norm, ["squared_norms"]),
+                                   (norm * 1.01, ["squared_norms"]),
+                                   (norm * 0.99, ["squared_norms", "gram"])):
             called = []
 
             def split(kernel, count):
@@ -357,6 +362,30 @@ class TestSvtTiles:
             out = np.full_like(x, np.nan)
             assert _svt(x, threshold, out=out) is out
             assert not np.any(out)
+
+    @pytest.mark.parametrize("scale,kernels", [
+        (1.0, ["squared_norms", "gram", "rebuild"]),
+        (1e160, ["squared_norms", "extremes", "gram", "rebuild"]),
+        (1e-160, ["squared_norms", "extremes", "gram", "rebuild"]),
+    ])
+    def test_divides_only_where_squares_leave_range(self, rng, scale, kernels):
+        # Squares of parts near 1e160 overflow and those near 1e-160
+        # underflow: those stacks take the extremes and divide. Neither path
+        # warns, nor does the public svt.
+        x = scale * random_sequence(rng, *self.SHAPE)
+        threshold = 0.5 * scale * top_singular_value(x / scale)
+        called = []
+
+        def split(kernel, count):
+            called.append(kernel.__name__)
+            kernel(slice(0, count))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _svt(x, threshold, split=split)
+            assert svt(x, threshold).tobytes() == out.tobytes()
+        assert called == kernels
+        assert np.isfinite(out).all() and np.count_nonzero(out) > 0
 
 
 class TestDualProjection:

@@ -41,20 +41,20 @@ def small_problem():
 
 @pytest.fixture(scope="module")
 def tiled_problem():
-    # 48 x 48 = 2304 pixels: SVT Grams from two whole 1024-column tiles and
-    # a partial third; 5 frames, so 1, 2 and 3 workers cut frames and tiles
-    # differently. With EPS_SWITCHES_ON eps is zero in iterations 1-23 of
-    # 40 and nonzero from iteration 24 on.
-    truth = generate_phantom(PhantomSpec(rows=48, cols=48, frames=5))
-    mask = make_mask("radial", 5, 48, 48, 0.4, seed=1)
+    # 100 x 100 = 10000 pixels: SVT Grams from two whole 4096-column tiles
+    # and a partial third; 5 frames, so 1, 2 and 3 workers cut frames and
+    # tiles differently. With EPS_SWITCHES_ON eps is zero in iterations
+    # 1-17 of 40 and nonzero from iteration 18 on.
+    truth = generate_phantom(PhantomSpec(rows=100, cols=100, frames=5))
+    mask = make_mask("radial", 5, 100, 100, 0.4, seed=1)
     data = measure(truth, mask, 0.02, seed=2)
     return truth, mask, data
 
 
 @pytest.fixture(scope="module")
 def tiled_cartesian_problem():
-    # tiled_problem's shape with a cartesian mask: the DFT pair runs on the
-    # row axis alone, on one frame block of 5 or on blocks of 1, 2 and 2.
+    # A cartesian mask on 5 frames of 48 x 48: the fidelity operator runs
+    # on one frame block of 5 or on blocks of 1, 2 and 2.
     truth = generate_phantom(PhantomSpec(rows=48, cols=48, frames=5))
     mask = make_mask("cartesian", 5, 48, 48, 0.4, seed=1)
     data = measure(truth, mask, 0.02, seed=2)
@@ -65,6 +65,19 @@ def run_config(**overrides):
     base = dict(max_iters=40, tol_re=1e-300)
     base.update(overrides)
     return SolverConfig(**base)
+
+
+def assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides):
+    # every state byte and the RE series on 1 and on 3 workers
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+        report = solve(data, mask, run_config(max_iters=40, **overrides))
+        state = report.final_state
+        results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
+                        state.eps.tobytes(), state.y.p.tobytes(),
+                        state.y.q.tobytes(), report.re_series))
+    assert results[0] == results[1]
 
 
 # In 40 iterations of the small problem, the eps SVT returns its exact
@@ -327,7 +340,7 @@ class TestFrameBlocks:
                 monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
                 report = solve(data, mask, run_config(max_iters=40, **overrides))
                 state = report.final_state
-                assert state.y.p.shape == (5, 47, 48) and state.y.q.shape == (5, 48, 47)
+                assert state.y.p.shape == (5, 99, 100) and state.y.q.shape == (5, 100, 99)
                 results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
                                 state.eps.tobytes(), state.y.p.tobytes(),
                                 state.y.q.tobytes(), report.re_series))
@@ -343,17 +356,37 @@ class TestFrameBlocks:
     ])
     def test_row_axis_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
                                              solve, overrides):
+        # 48 rows above a lowered crossover: the DFT pair on the row axis
         _, mask, data = tiled_cartesian_problem
-        assert solver._fft_axes(mask) == (-2,)
-        results = []
-        for workers in (1, 3):
-            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
-            report = solve(data, mask, run_config(max_iters=40, **overrides))
-            state = report.final_state
-            results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
-                            state.eps.tobytes(), state.y.p.tobytes(),
-                            state.y.q.tobytes(), report.re_series))
-        assert results[0] == results[1]
+        monkeypatch.setattr(solver, "_DENSE_ROWS", 47)
+        assert solver._fidelity_operator(mask) == "rows"
+        assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
+
+    @pytest.mark.parametrize("solve,overrides", [
+        (baseline_tvnn_solve, {}),
+        (rdledm_solve, EPS_SWITCHES_ON),
+    ])
+    def test_dense_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
+                                          solve, overrides):
+        # one dense row product per frame, whichever block holds the frame
+        _, mask, data = tiled_cartesian_problem
+        assert solver._fidelity_operator(mask) == "dense"
+        assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
+
+    def test_parts_are_cut_once_per_count(self, tiled_problem, monkeypatch):
+        # the frame count and the SVT's tile count, each cut when the
+        # blocks are made, however many kernels a solve then splits
+        _, mask, data = tiled_problem
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
+        cut, counts = solver._FrameBlocks._cut, []
+
+        def counting(self, count):
+            counts.append(count)
+            return cut(self, count)
+
+        monkeypatch.setattr(solver._FrameBlocks, "_cut", counting)
+        rdledm_solve(data, mask, run_config(max_iters=5, **EPS_SWITCHES_ON))
+        assert sorted(counts) == [3, 5]
 
     def test_worker_rule(self, monkeypatch):
         # a thread per block only from 2**17 voxels per worker on
@@ -415,7 +448,12 @@ AXES_CASES = {
 }
 
 
+ROW_CONSTANT_CASES = ("cartesian", "static-cartesian", "all-zero", "all-one")
+
+
 class TestFftAxes:
+    """The fidelity operator: dense row product, row-axis DFT pair or 2-D pair."""
+
     @pytest.mark.parametrize("case,axes", [
         ("cartesian", (-2,)),
         ("static-cartesian", (-2,)),
@@ -425,8 +463,20 @@ class TestFftAxes:
         ("random2d", (-2, -1)),
         ("cartesian-one-entry-flipped", (-2, -1)),
     ])
-    def test_row_constant_masks_take_the_row_axis(self, case, axes):
-        assert solver._fft_axes(AXES_CASES[case]((4, 16, 12))) == axes
+    def test_row_constant_masks_take_the_row_axis(self, monkeypatch, case, axes):
+        # above the crossover (lowered under the 16 rows here)
+        monkeypatch.setattr(solver, "_DENSE_ROWS", 15)
+        operator = solver._fidelity_operator(AXES_CASES[case]((4, 16, 12)))
+        assert solver._FFT_AXES[operator] == axes
+
+    @pytest.mark.parametrize("case", list(AXES_CASES))
+    def test_operator_table(self, case):
+        # row-constant at or under the crossover: dense; above it: the row
+        # axis; any other mask: the 2-D pair, at either size
+        rows = solver._DENSE_ROWS
+        for shape, row_constant in (((4, rows, 12), "dense"), ((4, rows + 1, 12), "rows")):
+            expected = row_constant if case in ROW_CONSTANT_CASES else "frames"
+            assert solver._fidelity_operator(AXES_CASES[case](shape)) == expected
 
     @pytest.mark.parametrize("solve,overrides", [
         (rdledm_solve, {"tau": 0.02, "epsilon_threshold": 0.05}),
@@ -434,30 +484,36 @@ class TestFftAxes:
     ])
     def test_row_axis_path_matches_two_axis_path(self, small_problem, monkeypatch, solve,
                                                  overrides):
-        # The row axis and both axes give one operator, so the paths differ
-        # by round-off only (at most 3.1e-13 relative, in the RE series).
-        # Both subtract the zero-filled image F^H M b, so the row path also
-        # checks that the kernel is handed that image in each of its 40
-        # iterations, long after the loop has started to reuse its buffers
-        # (one worker, so one block: the whole stack).
+        # The dense row product, the row-axis pair and the 2-D pair give one
+        # operator, so the paths differ by round-off only (at most 2.1e-13
+        # relative, in the RE series). Each kernel also checks that it is
+        # handed its multiple of the zero-filled image F^H M b in each of
+        # its 40 iterations, long after the loop has started to reuse its
+        # buffers (one worker, so one block: the whole stack).
         truth, mask, data = small_problem
         config = run_config(max_iters=40, **overrides)
-        chosen, subtracted = [], []
-        choose, kernel, zero_filled = solver._fft_axes, solver._primal_block, zero_fill(data, mask)
-
-        def spy(x, sampled, aliased, *stacks, **params):
-            subtracted.append(np.array_equal(aliased, zero_filled))
-            kernel(x, sampled, aliased, *stacks, **params)
-
+        step = config.t1 / (1.0 + config.t1)
+        zero_filled = zero_fill(data, mask)
+        assert solver._fidelity_operator(mask) == "dense"
         monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
-        monkeypatch.setattr(solver, "_primal_block", spy)
-        monkeypatch.setattr(solver, "_fft_axes",
-                            lambda m: chosen.append(choose(m)) or chosen[-1])
-        row = solve(data, mask, config, reference=truth)
-        assert chosen == [(-2,)] and subtracted == [True] * 40
-        monkeypatch.setattr(solver, "_primal_block", kernel)
-        monkeypatch.setattr(solver, "_fft_axes", lambda m: (-2, -1))
-        both = solve(data, mask, config, reference=truth)
+        handed = []
+
+        def spying(kernel, image):
+            def spy(x, p, q, transport, out, operator, shift, *rest, **params):
+                handed.append(np.array_equal(shift, image))
+                kernel(x, p, q, transport, out, operator, shift, *rest, **params)
+            return spy
+
+        monkeypatch.setattr(solver, "_dense_primal_block",
+                            spying(solver._dense_primal_block, step * zero_filled))
+        monkeypatch.setattr(solver, "_primal_block",
+                            spying(solver._primal_block, zero_filled))
+        reports = {}
+        for operator in ("dense", "rows", "frames"):
+            monkeypatch.setattr(solver, "_fidelity_operator", lambda m, o=operator: o)
+            reports[operator] = solve(data, mask, config, reference=truth)
+            assert handed == [True] * 40
+            handed.clear()
         rel = 1e-12
 
         def stacks(report):
@@ -465,11 +521,13 @@ class TestFftAxes:
             return {"x": state.x, "x_prime": state.x_prime, "eps": state.eps,
                     "y.p": state.y.p, "y.q": state.y.q}
 
-        for (name, a), b in zip(stacks(row).items(), stacks(both).values()):
-            assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
-        for series in ("re_series", "psnr_series", "rmse_series"):
-            np.testing.assert_allclose(getattr(row, series), getattr(both, series),
-                                       rtol=rel, atol=0, err_msg=series)
+        both = reports.pop("frames")
+        for operator, report in reports.items():
+            for (name, a), b in zip(stacks(report).items(), stacks(both).values()):
+                assert np.abs(a - b).max() <= rel * np.abs(b).max(), (operator, name)
+            for series in ("re_series", "psnr_series", "rmse_series"):
+                np.testing.assert_allclose(getattr(report, series), getattr(both, series),
+                                           rtol=rel, atol=0, err_msg=f"{operator} {series}")
         if overrides:
             assert np.count_nonzero(both.final_state.eps) > 0
 
@@ -677,8 +735,8 @@ class TestLoopShortcuts:
         assert skipping.re_series == computing.re_series
 
     def test_eps_svt_forms_no_gram_at_defaults(self, small_problem, monkeypatch):
-        # the bound sqrt(2 * entries) * scale <= threshold returns the zero
-        # stack right after the extremes, before any Gram tile is formed
+        # ||C||_F <= threshold returns the zero stack right after the
+        # squared norms, before any Gram tile is formed
         _, mask, data = small_problem
         original = solver._svt
         kernels = []
@@ -693,7 +751,7 @@ class TestLoopShortcuts:
 
         monkeypatch.setattr(solver, "_svt", recording)
         report = rdledm_solve(data, mask, run_config(max_iters=40))
-        assert kernels == ["extremes"] * 40
+        assert kernels == ["squared_norms"] * 40
         assert not np.any(report.final_state.eps)
 
     def test_error_split_matches_naive_reimplementation(self, small_problem):
@@ -746,7 +804,7 @@ class TestLoopShortcuts:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_x_bar_diverges_at_its_iteration(self, small_problem, monkeypatch,
                                                          solve, bad):
-        # found by the first SVT's own scale reduction, not by a scan
+        # found by the first SVT's own norms and extremes, not by a scan
         _, mask, data = small_problem
         original = solver._grad_adjoint
         calls = []
@@ -770,7 +828,8 @@ class TestLoopShortcuts:
     def test_non_finite_in_a_pool_block_diverges(self, tiled_problem, monkeypatch,
                                                  solve, bad):
         # on two workers the pool thread takes frames 2-4 of x_bar, and the
-        # SVT's extremes of those frames find the poison in the last tile
+        # SVT's norms and extremes of those frames find the poison in the
+        # last tile
         _, mask, data = tiled_problem
         monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
         original = solver._grad_adjoint
