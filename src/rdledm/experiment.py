@@ -168,11 +168,17 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def config_from_manifest(manifest: dict, directory: str | None = None) -> ExperimentConfig:
     """Rebuild the config embedded in a run manifest, optionally redirected."""
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest must be a JSON object")
     if "config" not in manifest:
         raise ConfigError("manifest has no embedded config")
     doc = json.loads(json.dumps(manifest["config"]))
-    if directory is not None:
-        doc.setdefault("output", {})["directory"] = directory
+    # A config or output section that is not an object is left for
+    # experiment_config_from_json to reject.
+    if directory is not None and isinstance(doc, dict):
+        output = doc.setdefault("output", {})
+        if isinstance(output, dict):
+            output["directory"] = directory
     return experiment_config_from_json(doc)
 
 

@@ -40,12 +40,11 @@ SEQUENCE_MAGIC = b"DSEQ1\n"
 _VALUE_DTYPE = np.dtype("<c16")
 
 
-def as_sequence(data, copy: bool = False) -> np.ndarray:
+def as_sequence(data) -> np.ndarray:
     """Return ``data`` as a validated complex128 array of shape (T, m, n).
 
-    No copy is made when ``data`` already is a complex128 ndarray and
-    ``copy`` is False. Raises DimensionError for wrong rank, empty axes,
-    or non-finite entries.
+    No copy is made when ``data`` already is a complex128 ndarray. Raises
+    DimensionError for wrong rank, empty axes, or non-finite entries.
     """
     arr = np.asarray(data, dtype=np.complex128)
     if arr.ndim != 3:
@@ -56,7 +55,7 @@ def as_sequence(data, copy: bool = False) -> np.ndarray:
         raise DimensionError(f"all axes must be nonempty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DimensionError("sequence contains NaN or Inf entries")
-    return arr.copy() if copy else arr
+    return arr
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ from .errors import CallbackError, DimensionError, DivergenceError
 from .metrics import _psnr_rmse, _reference
 from .operators import (
     DualField,
+    _dft2,
     _frame_squared_norms,
     _gram_tiles,
     _idft2,
@@ -349,30 +350,23 @@ def _grad_adjoint(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # Row-constant masks on frames of at most this many rows take the dense
-# row operator: its product costs O(m) per entry against the DFT pair's
-# O(log m). Measured on one core of a 2-core x86_64 host (primal kernel,
-# ms per call, the DFT pair on the row axis against the dense product):
-# 8x64x64 0.61/0.46, 20x64x64 2.36/1.83 and 8x64x256 4.03/2.79 win,
-# 8x96x96 1.81/1.57 and 8x112x112 3.41/2.96 win by less, 8x128x128
-# 4.21/4.28 and 20x128x128 9.42/8.65 tie, 8x144x144 5.67/6.07,
-# 8x192x192 9.21/9.82 and 8x256x64 4.26/7.46 lose.
-_DENSE_ROWS = 128
+# row operator: its product costs O(m) per entry against the 2-D DFT
+# pair's O(log(m n)). Measured on one core of a 2-core x86_64 host
+# (primal kernel, time of the dense product over the 2-D DFT pair):
+# 8x128x128 0.74, 8x160x160 0.92, 8x192x192 1.02, 20x192x192 0.89 and
+# 60x192x192 0.84 win or tie, 8x224x224 1.07, 8x256x256 1.06 and
+# 8x256x64 1.34 lose.
+_DENSE_ROWS = 192
 
 
-def _fidelity_operator(mask: np.ndarray) -> str:
-    # How the primal kernel applies F^H M F. A mask whose every frame is
-    # constant along its columns samples whole k-space rows, so
-    # F^H M F = (F_r^H diag(m_t) F_r) (x) I per frame: the column
-    # transforms cancel. On frames of up to _DENSE_ROWS rows that m x m
-    # matrix is applied as a dense product ("dense"), on taller ones as a
-    # DFT pair along the row axis ("rows"). Every other mask takes the
-    # 2-D DFT pair ("frames").
-    if not (mask == mask[:, :, :1]).all():
-        return "frames"
-    return "dense" if mask.shape[1] <= _DENSE_ROWS else "rows"
-
-
-_FFT_AXES = {"rows": (-2,), "frames": (-2, -1)}
+def _dense_fidelity(mask: np.ndarray) -> bool:
+    # Whether the primal kernel applies F^H M F as the dense row operator.
+    # A mask whose every frame is constant along its columns samples whole
+    # k-space rows, so F^H M F = (F_r^H diag(m_t) F_r) (x) I per frame: the
+    # column transforms cancel. On frames of up to _DENSE_ROWS rows that
+    # m x m matrix is applied as a dense product; every other mask takes
+    # the 2-D DFT pair.
+    return mask.shape[1] <= _DENSE_ROWS and bool((mask == mask[:, :, :1]).all())
 
 
 def _row_operator(mask: np.ndarray, step: float) -> np.ndarray:
@@ -387,19 +381,18 @@ def _row_operator(mask: np.ndarray, step: float) -> np.ndarray:
     return operator
 
 
-def _primal_block(x, p, q, transport, out, sampled, aliased, k, *,
-                  step, tv_step, axes) -> None:
+def _primal_block(x, p, q, transport, out, mask, aliased, k, *, step, tv_step) -> None:
     # For one frame block: transport <- tv_step * grad_adjoint(y), then
     # out <- x - step * (F^H M F x - F^H M b) - transport, evaluated in
-    # that order, with k as scratch and the DFT pair on the given axes
-    # (see _fidelity_operator). aliased is F^H M b, the zero-filled image,
-    # and F^H M F x - F^H M b is the gradient of 1/2 ||A x - b||^2 for a
-    # 0/1 mask M, whether or not b was masked.
+    # that order, with k as scratch for the 2-D DFT pair. aliased is
+    # F^H M b, the zero-filled image, and F^H M F x - F^H M b is the
+    # gradient of 1/2 ||A x - b||^2 for a 0/1 mask M, whether or not b was
+    # masked.
     _grad_adjoint(p, q, transport)
     transport *= tv_step
-    np.fft.fftn(x, axes=axes, norm="ortho", out=k)
-    k *= sampled
-    np.fft.ifftn(k, axes=axes, norm="ortho", out=out)
+    _dft2(x, out=k)
+    k *= mask
+    _idft2(k, out=out)
     out -= aliased
     out *= step
     np.subtract(x, out, out=out)
@@ -469,18 +462,17 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     # The primal kernel's operands after x, p, q, transport and its
     # output. Each path holds its own multiple of F^H M b: init itself
     # becomes the loop's spare buffer after the first iteration.
-    operator = _fidelity_operator(mask)
-    if operator == "dense":
+    if _dense_fidelity(mask):
         primal = _dense_primal_block
         fidelity = (_row_operator(mask, fidelity_step), init * fidelity_step)
         params = {"tv_step": tv_step}
     else:
-        # complex128 like the products with the uint8 mask it replaces, so
-        # every masked value is bit-identical to forward_op/adjoint_op; the
+        # k-space is multiplied by the uint8 mask, as in forward_op and
+        # adjoint_op, so every masked value is bit-identical to theirs. The
         # last operand is the k-space scratch of the DFT pair.
         primal = _primal_block
-        fidelity = (mask.astype(np.complex128), init.copy(), np.empty_like(init))
-        params = {"step": fidelity_step, "tv_step": tv_step, "axes": _FFT_AXES[operator]}
+        fidelity = (mask, init.copy(), np.empty_like(init))
+        params = {"step": fidelity_step, "tv_step": tv_step}
     # eps for as long as the eps SVT returns its exact zero stack. Never
     # written to, so the loop can test `eps is zero`.
     zero = np.zeros_like(init)

@@ -143,9 +143,18 @@ class TestConfigParsing:
         assert rebuilt.out_dir == str(tmp_path / "b")
         assert rebuilt.solver == config.solver
 
-    def test_manifest_without_config(self):
+    @pytest.mark.parametrize("manifest,directory", [
+        ({"results": {}}, None),
+        (["config"], None),
+        (5, None),
+        ({"config": []}, "x"),
+        ({"config": {"output": []}}, "x"),
+        ({"config": 5}, "x"),
+    ], ids=["no-config", "list-manifest", "number-manifest", "list-config",
+            "list-output", "number-config"])
+    def test_manifest_without_config(self, manifest, directory):
         with pytest.raises(ConfigError):
-            config_from_manifest({"results": {}})
+            config_from_manifest(manifest, directory=directory)
 
     @settings(max_examples=300)
     @given(path=st.sampled_from(CONFIG_PATHS)

@@ -61,10 +61,6 @@ class TestValidation:
         with pytest.raises(DimensionError):
             as_sequence(x)
 
-    def test_copy_flag(self, rng):
-        x = random_sequence(rng, 1, 2, 2)
-        assert as_sequence(x, copy=True) is not x
-
 
 class TestNorms:
     def test_zero(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rdledm.errors import CallbackError, DimensionError, DivergenceError
 from rdledm.experiment import load_experiment_config
-from rdledm.phantom import PhantomSpec, generate_phantom, phantom_preset
+from rdledm.phantom import PRESET_SIZES, PhantomSpec, generate_phantom, phantom_preset
 from rdledm.sampling import make_mask, measure, zero_fill
 from rdledm.metrics import psnr, rmse
 from rdledm import solver
@@ -354,23 +354,11 @@ class TestFrameBlocks:
         (baseline_tvnn_solve, {}),
         (rdledm_solve, EPS_SWITCHES_ON),
     ])
-    def test_row_axis_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
-                                             solve, overrides):
-        # 48 rows above a lowered crossover: the DFT pair on the row axis
-        _, mask, data = tiled_cartesian_problem
-        monkeypatch.setattr(solver, "_DENSE_ROWS", 47)
-        assert solver._fidelity_operator(mask) == "rows"
-        assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
-
-    @pytest.mark.parametrize("solve,overrides", [
-        (baseline_tvnn_solve, {}),
-        (rdledm_solve, EPS_SWITCHES_ON),
-    ])
     def test_dense_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
                                           solve, overrides):
         # one dense row product per frame, whichever block holds the frame
         _, mask, data = tiled_cartesian_problem
-        assert solver._fidelity_operator(mask) == "dense"
+        assert solver._dense_fidelity(mask)
         assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
 
     def test_parts_are_cut_once_per_count(self, tiled_problem, monkeypatch):
@@ -413,19 +401,20 @@ class TestFrameBlocks:
         assert report.re_series == (expected,)
 
     def test_one_worker_imports_no_pool(self):
-        # a solve small enough for one worker leaves concurrent.futures unloaded
+        # a solve small enough for one worker leaves concurrent.futures
+        # unloaded, and no solve loads scipy (installed, but not declared)
         code = (
             "import sys, numpy as np\n"
             "from rdledm.solver import SolverConfig, baseline_tvnn_solve\n"
             "data = np.ones((4, 16, 16), complex)\n"
             "baseline_tvnn_solve(data, np.ones((4, 16, 16), bool), SolverConfig(max_iters=3))\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            "print('concurrent.futures' in sys.modules, 'scipy' in sys.modules)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, timeout=120, check=True,
                                 env={**os.environ,
                                      "PYTHONPATH": str(Path(solver.__file__).parents[1])})
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
 
 def _flipped(mask):
@@ -452,31 +441,19 @@ ROW_CONSTANT_CASES = ("cartesian", "static-cartesian", "all-zero", "all-one")
 
 
 class TestFftAxes:
-    """The fidelity operator: dense row product, row-axis DFT pair or 2-D pair."""
-
-    @pytest.mark.parametrize("case,axes", [
-        ("cartesian", (-2,)),
-        ("static-cartesian", (-2,)),
-        ("all-zero", (-2,)),
-        ("all-one", (-2,)),
-        ("radial", (-2, -1)),
-        ("random2d", (-2, -1)),
-        ("cartesian-one-entry-flipped", (-2, -1)),
-    ])
-    def test_row_constant_masks_take_the_row_axis(self, monkeypatch, case, axes):
-        # above the crossover (lowered under the 16 rows here)
-        monkeypatch.setattr(solver, "_DENSE_ROWS", 15)
-        operator = solver._fidelity_operator(AXES_CASES[case]((4, 16, 12)))
-        assert solver._FFT_AXES[operator] == axes
+    """The fidelity operator: dense row product or 2-D DFT pair."""
 
     @pytest.mark.parametrize("case", list(AXES_CASES))
     def test_operator_table(self, case):
-        # row-constant at or under the crossover: dense; above it: the row
-        # axis; any other mask: the 2-D pair, at either size
+        # row-constant at or under the crossover: dense; above it, and any
+        # other mask at any size: the 2-D pair. Every size the CLI's
+        # presets make lies at or under the crossover.
+        dense = case in ROW_CONSTANT_CASES
         rows = solver._DENSE_ROWS
-        for shape, row_constant in (((4, rows, 12), "dense"), ((4, rows + 1, 12), "rows")):
-            expected = row_constant if case in ROW_CONSTANT_CASES else "frames"
-            assert solver._fidelity_operator(AXES_CASES[case](shape)) == expected
+        shapes = [((4, rows, 12), dense), ((4, rows + 1, 12), False)]
+        shapes += [((4, size, size), dense) for size in PRESET_SIZES]
+        for shape, expected in shapes:
+            assert solver._dense_fidelity(AXES_CASES[case](shape)) == expected, shape
 
     @pytest.mark.parametrize("solve,overrides", [
         (rdledm_solve, {"tau": 0.02, "epsilon_threshold": 0.05}),
@@ -484,17 +461,17 @@ class TestFftAxes:
     ])
     def test_row_axis_path_matches_two_axis_path(self, small_problem, monkeypatch, solve,
                                                  overrides):
-        # The dense row product, the row-axis pair and the 2-D pair give one
-        # operator, so the paths differ by round-off only (at most 2.1e-13
-        # relative, in the RE series). Each kernel also checks that it is
-        # handed its multiple of the zero-filled image F^H M b in each of
-        # its 40 iterations, long after the loop has started to reuse its
-        # buffers (one worker, so one block: the whole stack).
+        # The dense row product and the 2-D pair give one operator, so the
+        # paths differ by round-off only (at most 2.1e-13 relative, in the
+        # RE series). Each kernel also checks that it is handed its
+        # multiple of the zero-filled image F^H M b in each of its 40
+        # iterations, long after the loop has started to reuse its buffers
+        # (one worker, so one block: the whole stack).
         truth, mask, data = small_problem
         config = run_config(max_iters=40, **overrides)
         step = config.t1 / (1.0 + config.t1)
         zero_filled = zero_fill(data, mask)
-        assert solver._fidelity_operator(mask) == "dense"
+        assert solver._dense_fidelity(mask)
         monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
         handed = []
 
@@ -508,10 +485,10 @@ class TestFftAxes:
                             spying(solver._dense_primal_block, step * zero_filled))
         monkeypatch.setattr(solver, "_primal_block",
                             spying(solver._primal_block, zero_filled))
-        reports = {}
-        for operator in ("dense", "rows", "frames"):
-            monkeypatch.setattr(solver, "_fidelity_operator", lambda m, o=operator: o)
-            reports[operator] = solve(data, mask, config, reference=truth)
+        reports = []
+        for dense in (True, False):
+            monkeypatch.setattr(solver, "_dense_fidelity", lambda m, d=dense: d)
+            reports.append(solve(data, mask, config, reference=truth))
             assert handed == [True] * 40
             handed.clear()
         rel = 1e-12
@@ -521,13 +498,12 @@ class TestFftAxes:
             return {"x": state.x, "x_prime": state.x_prime, "eps": state.eps,
                     "y.p": state.y.p, "y.q": state.y.q}
 
-        both = reports.pop("frames")
-        for operator, report in reports.items():
-            for (name, a), b in zip(stacks(report).items(), stacks(both).values()):
-                assert np.abs(a - b).max() <= rel * np.abs(b).max(), (operator, name)
-            for series in ("re_series", "psnr_series", "rmse_series"):
-                np.testing.assert_allclose(getattr(report, series), getattr(both, series),
-                                           rtol=rel, atol=0, err_msg=f"{operator} {series}")
+        dense, both = reports
+        for (name, a), b in zip(stacks(dense).items(), stacks(both).values()):
+            assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+        for series in ("re_series", "psnr_series", "rmse_series"):
+            np.testing.assert_allclose(getattr(dense, series), getattr(both, series),
+                                       rtol=rel, atol=0, err_msg=series)
         if overrides:
             assert np.count_nonzero(both.final_state.eps) > 0
 
