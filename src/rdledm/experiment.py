@@ -93,6 +93,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"solver.method must be one of {SOLVER_METHODS}, got {self.method!r}"
             )
+        for key, seed in (("mask.seed", self.mask_seed), ("noise.seed", self.noise_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
 
 
 def _typed(name: str, value, kind: type, default):

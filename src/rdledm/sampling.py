@@ -42,6 +42,13 @@ CARTESIAN_PROFILE_SIGMA = 0.15
 RADIAL_RATIO_TOLERANCE = 0.02
 
 
+def _check_seed(seed: int) -> None:
+    # NumPy's SeedSequence rejects a negative seed with a message that
+    # names no argument.
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _frame_rng(seed: int, frame: int) -> np.random.Generator:
     """Independent PCG64 stream for one frame of one seeded draw."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, frame))))
@@ -248,6 +255,7 @@ def make_mask(pattern: str, frames: int, rows: int, cols: int, ratio: float,
         raise DimensionError(f"grid must be at least 2x2, got {rows}x{cols}")
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    _check_seed(seed)
     if ratio == 1.0:
         return np.ones((frames, rows, cols), dtype=np.uint8)
 
@@ -273,6 +281,7 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     x, mask = _as_stack_and_mask(x, mask)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    _check_seed(seed)
     k = _dft2(x)
     if sigma > 0:
         shape = x.shape[1:]

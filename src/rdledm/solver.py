@@ -381,19 +381,19 @@ def _row_operator(mask: np.ndarray, step: float) -> np.ndarray:
     return operator
 
 
-def _primal_block(x, p, q, transport, out, mask, aliased, k, *, step, tv_step) -> None:
+def _primal_block(x, p, q, transport, out, mask, data, *, step, tv_step) -> None:
     # For one frame block: transport <- tv_step * grad_adjoint(y), then
-    # out <- x - step * (F^H M F x - F^H M b) - transport, evaluated in
-    # that order, with k as scratch for the 2-D DFT pair. aliased is
-    # F^H M b, the zero-filled image, and F^H M F x - F^H M b is the
-    # gradient of 1/2 ||A x - b||^2 for a 0/1 mask M, whether or not b was
-    # masked.
+    # out <- x - step * F^H M (F x - b) - transport, evaluated in that
+    # order, the DFT pair run in place in out. F^H M (F x - b) is the
+    # gradient of 1/2 ||A x - b||^2 for a 0/1 mask M, whether or not b
+    # was masked, so the kernel reads the solve's k-space data and holds
+    # no image-domain copy of F^H M b.
     _grad_adjoint(p, q, transport)
     transport *= tv_step
-    _dft2(x, out=k)
-    k *= mask
-    _idft2(k, out=out)
-    out -= aliased
+    _dft2(x, out=out)
+    out -= data
+    out *= mask
+    _idft2(out, out=out)
     out *= step
     np.subtract(x, out, out=out)
     out -= transport
@@ -457,40 +457,39 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     eps_threshold = config.resolved_epsilon_threshold()
     dual_step = config.t2 * config.lambda1
 
-    # adjoint_op(data, mask): the zero-filled image F^H M b.
-    init = _idft2(data * mask)
+    # adjoint_op(data, mask): the zero-filled image F^H M b, the first x.
+    x = _idft2(data * mask)
     # The primal kernel's operands after x, p, q, transport and its
-    # output. Each path holds its own multiple of F^H M b: init itself
-    # becomes the loop's spare buffer after the first iteration.
+    # output: the dense path's row operator and step * F^H M b, or, for
+    # the 2-D pair, the uint8 mask (as in forward_op and adjoint_op) and
+    # the validated k-space data, so that path holds no stack of its own.
     if _dense_fidelity(mask):
         primal = _dense_primal_block
-        fidelity = (_row_operator(mask, fidelity_step), init * fidelity_step)
+        fidelity = (_row_operator(mask, fidelity_step), x * fidelity_step)
         params = {"tv_step": tv_step}
     else:
-        # k-space is multiplied by the uint8 mask, as in forward_op and
-        # adjoint_op, so every masked value is bit-identical to theirs. The
-        # last operand is the k-space scratch of the DFT pair.
         primal = _primal_block
-        fidelity = (mask, init.copy(), np.empty_like(init))
+        fidelity = (mask, data)
         params = {"step": fidelity_step, "tv_step": tv_step}
-    # eps for as long as the eps SVT returns its exact zero stack. Never
-    # written to, so the loop can test `eps is zero`.
-    zero = np.zeros_like(init)
-    x, x_prime, eps = init, init.copy(), zero
+    if error_split:
+        # x' starts at the zero-filled image, and eps is `zero` for as long
+        # as the eps SVT returns its exact zero stack. `zero` is never
+        # written to, so the loop can test `eps is zero`; eps_out holds eps
+        # otherwise.
+        zero = np.zeros_like(x)
+        x_prime, eps, eps_out = x.copy(), zero, np.empty_like(x)
     # The dual field y = (p, q), both padded to (T, m, n) (see
     # _dual_block); final_state.y has the public shapes.
-    p = np.zeros_like(init)
-    q = np.zeros_like(init)
+    p, q = np.zeros_like(x), np.zeros_like(x)
     # Reused every iteration: the primal point being built (x_bar, then
     # the lookahead), the scaled transport tv_step * grad_adjoint(y), the
     # next iterate (it alternates with x, whose old values are dead once
-    # the dual step has run), eps while it is not the zero stack, and the
-    # per-frame squared norms of x_next and x_next - x. The tau terms are
-    # formed in x_spare and in transport while those hold nothing live.
-    x_bar = np.empty_like(init)
-    transport = np.empty_like(init)
-    x_spare = np.empty_like(init)
-    eps_out = np.empty_like(init) if error_split else None
+    # the dual step has run), and the per-frame squared norms of x_next
+    # and x_next - x. The tau terms are formed in x_spare and in transport
+    # while those hold nothing live.
+    x_bar = np.empty_like(x)
+    transport = np.empty_like(x)
+    x_spare = np.empty_like(x)
     next_sq = np.empty(frames)
     change_sq = np.empty(frames)
 
@@ -576,6 +575,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             raise DivergenceError(f"solver state became non-finite at iteration {n}",
                                   iteration=n) from None
 
+    if not error_split:
+        # The baseline's final x' is the zero-filled image and its eps is
+        # zero, as at the start of the loop; both are formed in buffers the
+        # loop has done with.
+        x_prime = _idft2(np.multiply(data, mask, out=x_bar), out=transport)
+        eps = x_spare
+        eps.fill(0.0)
     return SolveReport(
         reconstruction=x,
         iterations=len(re_series),

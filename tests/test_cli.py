@@ -126,6 +126,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="method"):
             experiment_config_from_json(doc)
 
+    @pytest.mark.parametrize("section", ["mask", "noise"])
+    def test_negative_seed(self, tmp_path, section):
+        doc = config_doc(tmp_path, **{section: {"seed": -1}})
+        with pytest.raises(ConfigError, match=f"{section}.seed must be a non-negative"):
+            experiment_config_from_json(doc)
+
     def test_json_round_trip(self, tmp_path):
         config = experiment_config_from_json(config_doc(tmp_path))
         assert experiment_config_from_json(experiment_config_to_json(config)) == config
@@ -503,6 +509,32 @@ class TestExitCodes:
         assert main(["reconstruct", "--config", str(config)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,message", [
+        (["reconstruct", "--config", "{mask_seed}"], "mask.seed must be"),
+        (["reconstruct", "--config", "{noise_seed}"], "noise.seed must be"),
+        (["sweep", "--ratios", "0.3", "--config", "{mask_seed}"], "mask.seed must be"),
+        (["mask", "--pattern", "radial", "--rows", "16", "--cols", "16", "--ratio", "0.3",
+          "--seed", "-1", "--out", "{out}"], "seed must be"),
+        (["measure", "--seq", "{seq}", "--mask", "{mask}", "--seed", "-1",
+          "--out", "{out}"], "seed must be"),
+    ], ids=["reconstruct-mask", "reconstruct-noise", "sweep", "mask", "measure"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, message):
+        # rejected before anything is written: {out} is the run directory
+        # of a config and the output file of mask and measure
+        seq, mask = tmp_path / "p.dseq", tmp_path / "m.mask"
+        write_sequence(np.zeros((1, 4, 4), dtype=complex), seq)
+        (tmp_path / "m.mask").write_bytes(b"MASK1\n1 4 4\n" + bytes([1] * 16))
+        names = {"seq": seq, "mask": mask, "out": tmp_path / "out"}
+        for section in ("mask", "noise"):
+            path = tmp_path / f"{section}_seed.json"
+            path.write_text(json.dumps(config_doc(tmp_path / "out", **{section: {"seed": -1}})))
+            names[f"{section}_seed"] = path
+        assert main([arg.format(**names) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert "non-negative integer, got -1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_huge_header_exits_4(self, tmp_path, capsys):
         # 27 bytes whose header claims a 1.6e18-byte payload

@@ -127,6 +127,12 @@ class TestMakeMaskCommon:
         with pytest.raises(DimensionError):
             make_mask("cartesian", 0, 8, 8, 0.5, seed=0)
 
+    @pytest.mark.parametrize("pattern", ["cartesian", "radial", "random2d"])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
+    def test_negative_seed(self, pattern, ratio):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            make_mask(pattern, 1, 8, 8, ratio, seed=-1)
+
 
 class TestCartesian:
     def test_rows_are_all_or_nothing(self):
@@ -227,6 +233,12 @@ class TestMeasurement:
         x = random_sequence(rng, 1, 4, 4)
         with pytest.raises(DimensionError):
             measure(x, np.ones((1, 4, 6), dtype=np.uint8), 0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_negative_seed_rejected(self, rng, sigma):
+        x = random_sequence(rng, 1, 4, 4)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            measure(x, np.ones((1, 4, 4), dtype=np.uint8), sigma, seed=-1)
 
 
 class TestForwardAdjoint:

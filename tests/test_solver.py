@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -463,10 +464,11 @@ class TestFftAxes:
                                                  overrides):
         # The dense row product and the 2-D pair give one operator, so the
         # paths differ by round-off only (at most 2.1e-13 relative, in the
-        # RE series). Each kernel also checks that it is handed its
-        # multiple of the zero-filled image F^H M b in each of its 40
-        # iterations, long after the loop has started to reuse its buffers
-        # (one worker, so one block: the whole stack).
+        # RE series). Each kernel also checks its data operand in each of
+        # its 40 iterations, long after the loop has started to reuse its
+        # buffers (one worker, so one block: the whole stack): the dense
+        # kernel is handed step * F^H M b, the 2-D pair the solve's k-space
+        # data b.
         truth, mask, data = small_problem
         config = run_config(max_iters=40, **overrides)
         step = config.t1 / (1.0 + config.t1)
@@ -483,8 +485,7 @@ class TestFftAxes:
 
         monkeypatch.setattr(solver, "_dense_primal_block",
                             spying(solver._dense_primal_block, step * zero_filled))
-        monkeypatch.setattr(solver, "_primal_block",
-                            spying(solver._primal_block, zero_filled))
+        monkeypatch.setattr(solver, "_primal_block", spying(solver._primal_block, data))
         reports = []
         for dense in (True, False):
             monkeypatch.setattr(solver, "_dense_fidelity", lambda m, d=dense: d)
@@ -506,6 +507,37 @@ class TestFftAxes:
                                        rtol=rel, atol=0, err_msg=series)
         if overrides:
             assert np.count_nonzero(both.final_state.eps) > 0
+
+
+class TestWorkingSet:
+    # tracemalloc peak of a whole solve (set-up, loop and final state), in
+    # complex128 stacks of the problem's shape. The data and the mask are
+    # made before tracing starts. The 2-D pair holds x, p, q and three
+    # loop buffers (x_bar, transport, the spare iterate); the dense path
+    # adds its row operator and step * F^H M b; the error split adds x',
+    # the zero stack and eps. The half stack over that is the SVT's.
+    @pytest.mark.parametrize("pattern,shape,solve,stacks", [
+        ("radial", (20, 128, 128), baseline_tvnn_solve, 6.75),
+        ("radial", (20, 128, 128), rdledm_solve, 9.75),
+        ("cartesian", (8, 64, 64), baseline_tvnn_solve, 8.75),
+        ("cartesian", (8, 64, 64), rdledm_solve, 11.75),
+    ])
+    def test_peak_in_stacks(self, monkeypatch, pattern, shape, solve, stacks):
+        frames, rows, cols = shape
+        truth = generate_phantom(PhantomSpec(rows=rows, cols=cols, frames=frames))
+        mask = make_mask(pattern, *shape, 0.25, seed=1)
+        data = measure(truth, mask, 0.05, seed=2)
+        assert solver._dense_fidelity(mask) == (pattern == "cartesian")
+        # one worker: a pool's blocks only lower the peak, by how much
+        # depends on the cut
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        tracemalloc.start()
+        try:
+            solve(data, mask, run_config(max_iters=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stacks * np.empty(shape, dtype=np.complex128).nbytes
 
 
 @pytest.fixture
@@ -957,3 +989,19 @@ class TestBaselineEquivalence:
             x = xn
 
         assert np.allclose(report.reconstruction, x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("problem", ["tiled_problem", "tiled_cartesian_problem"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_final_state(self, request, monkeypatch, problem, workers):
+        # x' is the zero-filled image and eps zero, on both fidelity
+        # paths; the solve, which reads data and mask in every iteration
+        # on the 2-D pair, leaves both as they were.
+        _, mask, data = request.getfixturevalue(problem)
+        assert solver._dense_fidelity(mask) == (problem == "tiled_cartesian_problem")
+        data_bytes, mask_bytes = data.tobytes(), mask.tobytes()
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
+        state = baseline_tvnn_solve(data, mask, run_config(max_iters=10)).final_state
+        assert state.x_prime.tobytes() == zero_fill(data, mask).tobytes()
+        assert state.eps.shape == data.shape
+        assert state.eps.tobytes() == np.zeros(data.shape, dtype=np.complex128).tobytes()
+        assert (data.tobytes(), mask.tobytes()) == (data_bytes, mask_bytes)
