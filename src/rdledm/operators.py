@@ -166,9 +166,9 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     # threshold >= 0. Row t of `flat` is frame t, so `flat` is the
     # Casorati matrix C transposed. When no singular value exceeds the
     # threshold the result is exactly zero, and no rebuild is formed: it
-    # is `zero` if given (a zero stack the caller keeps and never writes
-    # to, so it can tell that result by identity), else zeros written to
-    # `out` or to a new stack. Otherwise the result is written to `out`
+    # is `zero` if given (a marker, such as a read-only 0-d zero, by whose
+    # identity the caller tells that result), else zeros written to `out`
+    # or to a new stack. Otherwise the result is written to `out`
     # (a C-contiguous stack that does not overlap x) or to a new stack.
     # Once a Gram is formed, `out` has served as its scratch, also when
     # `zero` is returned.
@@ -300,11 +300,13 @@ def svt(x, threshold: float) -> np.ndarray:
     return _svt(as_sequence(x), threshold)
 
 
-def _shrink_to_unit_disc(z: np.ndarray) -> None:
+def _shrink_to_unit_disc(z: np.ndarray, moduli: np.ndarray | None = None) -> None:
     # z <- z / max(1, |z|), in place. NumPy divides a complex number by a
     # real one (read as r + 0j) by multiplying both parts with 1/r, so real
     # multiplies of the real and the imaginary parts give the same values.
-    scale = np.abs(z)
+    # `moduli`, if given, is a float64 array of z's shape that does not
+    # overlap z; it takes |z| and the factors in place of a new array.
+    scale = np.abs(z, out=moduli)
     # With no entry outside the disc every factor is exactly 1, which
     # changes no bit. A NaN makes the max NaN and takes the full path.
     if scale.max() <= 1.0:

@@ -69,9 +69,11 @@ class SolverConfig:
     ``epsilon_threshold=None`` resolves to ``1/(2*tau)``, the exact
     proximal threshold of the error subproblem (infinite when
     ``tau == 0``, freezing the error term at zero).
-    Weights, step sizes and ``tol_re`` must be finite (only
-    ``epsilon_threshold`` may be +inf) and ``max_iters`` an integer, so
-    the solve loop never sees a NaN step or a fractional count.
+    Weights, step sizes, ``tol_re`` and ``epsilon_threshold`` must be
+    real numbers, not bools, and finite (only ``epsilon_threshold`` may be
+    +inf), and ``max_iters`` an integer, so the solve loop never sees a
+    NaN step or a fractional count. Every violation is a ValueError that
+    names the field.
     """
 
     lambda1: float = 5e-2
@@ -84,9 +86,14 @@ class SolverConfig:
     tol_re: float = 1e-7
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "tau", "t1", "t2", "tol_re"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lambda1", "lambda2", "tau", "t1", "t2", "tol_re", "epsilon_threshold"):
+            value = getattr(self, name)
+            if name == "epsilon_threshold" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not (math.isfinite(value) or name == "epsilon_threshold"):
+                raise ValueError(f"{name} must be finite, got {value}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -259,6 +266,12 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 # DivergenceError.
 _LOOP_ERRORS = {"over": "ignore", "invalid": "ignore"}
 
+# The full model's eps while its SVT returns exactly zero: a marker that
+# the loop tells by identity (`eps is _ZERO`), in place of a zero stack.
+# Nothing reads its value.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 # Frame blocks get a thread only from 2**17 voxels per worker on. Measured
 # on 2 cores (baseline solve, ms/iter on one worker against two): 64x64x8
 # 3.35/3.84 and 160x160x8 28.2/29.1 lose on two, 128x128x8 and 128x128x16
@@ -420,9 +433,11 @@ def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
     # zero last row, q with a zero last column. Each takes its differences
     # on the flattened block, at stride n (p) or 1 (q), and the entries
     # they write into its pad (differences across a frame or row boundary)
-    # are zeroed again before the projection. Each block decides for
-    # itself whether a projection can return at once; where it does, every
-    # factor of a whole-field projection would be exactly 1.
+    # are zeroed again. Both are projected once both are updated: the
+    # lookahead is dead by then, and the first half of its float64 view
+    # takes the moduli. Each block decides for itself whether a projection
+    # can return at once; where it does, every factor of a whole-field
+    # projection would be exactly 1.
     np.subtract(x_next, x, out=lookahead)
     _frame_squared_norms(x_next, next_sq)
     _frame_squared_norms(lookahead, change_sq)
@@ -436,7 +451,9 @@ def _dual_block(x_next, x, p, q, lookahead, next_sq, change_sq, x_prime=None, *,
         y_flat[:-stride] += lookahead_flat[:-stride]
         y_flat[:-stride] -= lookahead_flat[stride:]
         pad[...] = 0.0
-        _shrink_to_unit_disc(y)
+    moduli = lookahead_flat.view(np.float64)[:lookahead.size].reshape(lookahead.shape)
+    _shrink_to_unit_disc(p, moduli)
+    _shrink_to_unit_disc(q, moduli)
 
 
 def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration):
@@ -472,23 +489,24 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
         fidelity = (mask, data)
         params = {"step": fidelity_step, "tv_step": tv_step}
     if error_split:
-        # x' starts at the zero-filled image, and eps is `zero` for as long
-        # as the eps SVT returns its exact zero stack. `zero` is never
-        # written to, so the loop can test `eps is zero`; eps_out holds eps
-        # otherwise.
-        zero = np.zeros_like(x)
-        x_prime, eps, eps_out = x.copy(), zero, np.empty_like(x)
+        # x' starts at the zero-filled image, and eps is _ZERO for as long
+        # as the eps SVT returns exactly zero, so the loop can test `eps is
+        # _ZERO`; eps_out holds eps otherwise. The full model also keeps
+        # the scaled transport tv_step * grad_adjoint(y), which its x' step
+        # reads.
+        x_prime, eps, eps_out = x.copy(), _ZERO, np.empty_like(x)
+        transport = np.empty_like(x)
     # The dual field y = (p, q), both padded to (T, m, n) (see
     # _dual_block); final_state.y has the public shapes.
     p, q = np.zeros_like(x), np.zeros_like(x)
     # Reused every iteration: the primal point being built (x_bar, then
-    # the lookahead), the scaled transport tv_step * grad_adjoint(y), the
-    # next iterate (it alternates with x, whose old values are dead once
-    # the dual step has run), and the per-frame squared norms of x_next
-    # and x_next - x. The tau terms are formed in x_spare and in transport
-    # while those hold nothing live.
+    # the lookahead), the next iterate (it alternates with x, whose old
+    # values are dead once the dual step has run), and the per-frame
+    # squared norms of x_next and x_next - x. Until the SVT writes x_next
+    # into it, x_spare holds nothing live: the baseline's transport and the
+    # full model's first tau term are formed there. The full model's
+    # second tau term goes into transport once that has been read.
     x_bar = np.empty_like(x)
-    transport = np.empty_like(x)
     x_spare = np.empty_like(x)
     next_sq = np.empty(frames)
     change_sq = np.empty(frames)
@@ -520,11 +538,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
             for n in range(1, config.max_iters + 1):
                 # transport = tv_step * grad_adjoint(y) and
                 # x_bar = x - fidelity_step * gradient - transport
+                if not error_split:
+                    transport = x_spare
                 blocks.run(primal, x, p, q, transport, x_bar, *fidelity, **params)
                 if error_split:
-                    # While eps is the exact zero stack its tau * eps terms are
+                    # While eps is exactly zero its tau * eps terms are
                     # skipped: they could change only the sign of a zero.
-                    if eps is zero:
+                    if eps is _ZERO:
                         np.multiply(x_prime, config.tau, out=x_spare)
                     else:
                         np.add(x_prime, eps, out=x_spare)
@@ -537,12 +557,12 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                 dual_stacks = (x_next, x, p, q, x_bar, next_sq, change_sq)
                 if error_split:
                     np.subtract(x_next, transport, out=x_bar)
-                    if eps is not zero:
+                    if eps is not _ZERO:
                         np.multiply(eps, config.tau, out=transport)
                         x_bar += transport
                     x_prime = _svt(x_bar, svt_threshold, out=x_prime, split=blocks.split)
                     np.subtract(x_next, x_prime, out=x_bar)
-                    eps = _svt(x_bar, eps_threshold, zero, out=eps_out, split=blocks.split)
+                    eps = _svt(x_bar, eps_threshold, _ZERO, out=eps_out, split=blocks.split)
                     dual_stacks += (x_prime,)
                 blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
@@ -579,8 +599,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
         # The baseline's final x' is the zero-filled image and its eps is
         # zero, as at the start of the loop; both are formed in buffers the
         # loop has done with.
-        x_prime = _idft2(np.multiply(data, mask, out=x_bar), out=transport)
+        x_prime = _idft2(np.multiply(data, mask, out=x_bar), out=x_bar)
         eps = x_spare
+        eps.fill(0.0)
+    elif eps is _ZERO:
+        # final_state.eps is a zero stack; eps_out may have served as the
+        # eps SVT's scratch.
+        eps = eps_out
         eps.fill(0.0)
     return SolveReport(
         reconstruction=x,

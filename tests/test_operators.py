@@ -454,14 +454,28 @@ class TestDualProjectionBits:
         return {"inside": inside, "on_circle": on_circle, "ulp_out": ulp_out,
                 "one_out": one_out, "all_out": all_out}
 
-    @pytest.mark.parametrize("case", ["inside", "on_circle", "ulp_out", "one_out", "all_out"])
-    def test_bytes_match_broadcast_formula(self, case):
+    CASES = ["inside", "on_circle", "ulp_out", "one_out", "all_out"]
+
+    # Each case also runs the kernel with a caller's moduli buffer, as the
+    # solve's dual kernel does: the first half of the float64 view of a
+    # complex stack, holding stale values.
+    @pytest.mark.parametrize("case,moduli", [
+        *(pytest.param(case, False, id=case) for case in CASES),
+        *(pytest.param(case, True, id=f"{case}-moduli") for case in CASES),
+    ])
+    def test_bytes_match_broadcast_formula(self, case, moduli):
         z = self.cases()[case]
         # p is (2, 3, 4), so q is (2, 4, 3): the same entries, transposed
         q = np.ascontiguousarray(z.transpose(0, 2, 1))
         out = project_linf_ball(DualField(z, q))
         assert out.p.tobytes() == broadcast_shrink(z).tobytes()
         assert out.q.tobytes() == broadcast_shrink(q).tobytes()
+        if moduli:
+            scratch = np.full(z.shape, 7.0 - 7.0j)
+            for component, projected in ((z.copy(), out.p), (q.copy(), out.q)):
+                buffer = scratch.reshape(-1).view(np.float64)[:z.size]
+                operators._shrink_to_unit_disc(component, buffer.reshape(component.shape))
+                assert component.tobytes() == projected.tobytes()
 
     def test_skip_leaves_entries_on_the_circle_alone(self):
         z = self.cases()["on_circle"]

@@ -112,6 +112,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "tau", "t1", "t2", "tol_re",
+                                       "epsilon_threshold"])
+    @pytest.mark.parametrize("value", [True, np.True_, "x", 1j])
+    def test_rejects_non_real(self, field, value):
+        # a ValueError that names the field, never a TypeError from a
+        # comparison, and no bool read as 1.0 or 0.0
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "tau", "t1", "t2", "tol_re"])
+    def test_rejects_none(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: None})
+
     @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
     def test_rejects_non_integer_max_iters(self, value):
         with pytest.raises(ValueError, match="max_iters"):
@@ -120,6 +134,10 @@ class TestConfig:
     def test_accepts_integer_max_iters_and_infinite_epsilon_threshold(self):
         assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
         assert SolverConfig(epsilon_threshold=math.inf).resolved_epsilon_threshold() == math.inf
+
+    def test_accepts_ints_and_numpy_reals(self):
+        config = SolverConfig(lambda1=1, t1=np.float32(0.5), epsilon_threshold=np.int64(2))
+        assert (config.lambda1, config.t1, config.epsilon_threshold) == (1, 0.5, 2)
 
     def test_epsilon_threshold_resolution(self):
         assert SolverConfig(tau=0.1).resolved_epsilon_threshold() == 5.0
@@ -512,32 +530,70 @@ class TestFftAxes:
 class TestWorkingSet:
     # tracemalloc peak of a whole solve (set-up, loop and final state), in
     # complex128 stacks of the problem's shape. The data and the mask are
-    # made before tracing starts. The 2-D pair holds x, p, q and three
-    # loop buffers (x_bar, transport, the spare iterate); the dense path
-    # adds its row operator and step * F^H M b; the error split adds x',
-    # the zero stack and eps. The half stack over that is the SVT's.
-    @pytest.mark.parametrize("pattern,shape,solve,stacks", [
-        ("radial", (20, 128, 128), baseline_tvnn_solve, 6.75),
-        ("radial", (20, 128, 128), rdledm_solve, 9.75),
-        ("cartesian", (8, 64, 64), baseline_tvnn_solve, 8.75),
-        ("cartesian", (8, 64, 64), rdledm_solve, 11.75),
-    ])
-    def test_peak_in_stacks(self, monkeypatch, pattern, shape, solve, stacks):
-        frames, rows, cols = shape
-        truth = generate_phantom(PhantomSpec(rows=rows, cols=cols, frames=frames))
-        mask = make_mask(pattern, *shape, 0.25, seed=1)
-        data = measure(truth, mask, 0.05, seed=2)
+    # made before tracing starts. Every solve holds x, p, q and two loop
+    # buffers (x_bar, which ends as the lookahead, and the spare iterate,
+    # which the baseline's transport shares); the dense path adds its row
+    # operator and step * F^H M b; the error split adds x', the transport
+    # and eps. The projections take their moduli in the dead lookahead.
+    # What is left is NumPy's 128 KB cast buffer for the uint8 mask and the
+    # SVT's partial Grams. Each bound is the measured peak plus a quarter
+    # stack.
+    CASES = {
+        "radial-baseline": ("radial", (20, 128, 128), baseline_tvnn_solve, {}, 5.28),
+        "radial-rdledm": ("radial", (20, 128, 128), rdledm_solve, {}, 8.28),
+        "cartesian-baseline": ("cartesian", (8, 64, 64), baseline_tvnn_solve, {}, 7.51),
+        "cartesian-rdledm": ("cartesian", (8, 64, 64), rdledm_solve, {}, 10.28),
+        # the projections rescale in both iterations: the factors are
+        # formed in the moduli buffer too
+        "radial-baseline-rescaled": ("radial", (20, 128, 128), baseline_tvnn_solve,
+                                     {"lambda1": 50.0}, 5.28),
+    }
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        made = {}
+        for pattern, shape in (("radial", (20, 128, 128)), ("cartesian", (8, 64, 64))):
+            frames, rows, cols = shape
+            truth = generate_phantom(PhantomSpec(rows=rows, cols=cols, frames=frames))
+            mask = make_mask(pattern, *shape, 0.25, seed=1)
+            made[pattern] = (mask, measure(truth, mask, 0.05, seed=2))
+        return made
+
+    # On two workers the bound of one worker must hold too: a block of the
+    # dual kernel takes its moduli in its own part of the lookahead.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_peak_in_stacks(self, monkeypatch, problems, case, workers):
+        pattern, shape, solve, overrides, stacks = self.CASES[case]
+        mask, data = problems[pattern]
         assert solver._dense_fidelity(mask) == (pattern == "cartesian")
-        # one worker: a pool's blocks only lower the peak, by how much
-        # depends on the cut
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
+        config = run_config(max_iters=2, **overrides)
+        # Run once untraced: the thread-pool modules, imported by the first
+        # solve on two workers, are not part of a solve's working set.
+        solve(data, mask, config)
         tracemalloc.start()
         try:
-            solve(data, mask, run_config(max_iters=2))
+            solve(data, mask, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= stacks * np.empty(shape, dtype=np.complex128).nbytes
+
+    def test_rescaled_case_rescales_in_both_iterations(self, monkeypatch, problems):
+        mask, data = problems["radial"]
+        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        original = solver._shrink_to_unit_disc
+        outside = []
+
+        def recording(z, moduli=None):
+            outside.append(bool(np.abs(z).max() > 1.0))
+            original(z, moduli)
+
+        monkeypatch.setattr(solver, "_shrink_to_unit_disc", recording)
+        baseline_tvnn_solve(data, mask, run_config(max_iters=2, lambda1=50.0))
+        # p and q in each of the two iterations
+        assert outside == [True] * 4
 
 
 @pytest.fixture
