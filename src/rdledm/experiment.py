@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .metrics import _score, format_float
 from .phantom import generate_phantom, phantom_preset
 from .sampling import make_mask, measure, write_mask, zero_fill
-from .sequence import _divided, _largest_part, as_sequence, write_sequence
+from .sequence import _largest_part, _rescaled, as_sequence, write_sequence
 from .solver import SolverConfig, baseline_tvnn_solve, rdledm_solve
 
 SOLVER_METHODS = ("rdledm", "baseline", "zerofill")
@@ -96,6 +96,13 @@ class ExperimentConfig:
         for key, seed in (("mask.seed", self.mask_seed), ("noise.seed", self.noise_seed)):
             if seed < 0:
                 raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
+        _check_ratio("mask.ratio", self.mask_ratio)
+
+
+def _check_ratio(name: str, ratio: float) -> None:
+    # make_mask's range, checked before any output directory is made.
+    if not 0.0 < ratio <= 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1], got {ratio}")
 
 
 def _typed(name: str, value, kind: type, default):
@@ -189,14 +196,15 @@ def _gray_levels(x: np.ndarray) -> np.ndarray:
     # |x| min-max scaled to 0..255 over the whole stack, all 0 for a zero
     # range. |x| overflows to inf above about 1.8e308, and the gain
     # 255 / (high - low) once the range falls below about 1.4e-306. Such a
-    # stack is scaled after division by its largest real or imaginary part,
-    # where neither can happen; any other stack keeps the plain formula.
+    # stack is scaled by the power of two that brings its largest real or
+    # imaginary part into [1/2, 1), where neither can happen; any other
+    # stack keeps the plain formula.
     magnitudes = np.abs(x)
     low = float(magnitudes.min())
     high = float(magnitudes.max())
     gain = 255.0 / (high - low) if high > low else 0.0
     if not (math.isfinite(high) and math.isfinite(gain)):
-        return _gray_levels(_divided(x, _largest_part(x)))
+        return _gray_levels(_rescaled(x, _largest_part(x))[0])
     return np.rint((magnitudes - low) * gain).astype(np.uint8)
 
 
@@ -364,6 +372,8 @@ def run_sweep(config: ExperimentConfig, ratios: list[float],
         raise ConfigError("sweep needs at least one ratio")
     if any(b <= a for a, b in zip(ratios, ratios[1:])):
         raise ConfigError("sweep ratios must strictly increase")
+    for ratio in ratios:
+        _check_ratio("sweep ratio", ratio)
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

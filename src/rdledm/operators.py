@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .sequence import as_sequence, casorati
+from .sequence import _largest_part, _rescaled, as_sequence, casorati
 
 
 class DualField(NamedTuple):
@@ -136,10 +136,11 @@ def _gram_tiles(pixels: int) -> int:
     return -(-pixels // _GRAM_TILE)
 
 
-# ||C||_F^2 range in which the Gram matrix is formed from the undivided
-# tiles. Below pixels * _GRAM_FLOOR, products that underflow could add
-# more than one unit of round-off to a Gram entry; above _GRAM_CEILING a
-# partial sum, bounded by ||C||_F^2 up to round-off, could overflow.
+# ||C||_F^2 range in which the Gram matrix is formed from C itself;
+# outside it C is rescaled first. Below pixels * _GRAM_FLOOR, products
+# that underflow could add more than one unit of round-off to a Gram
+# entry; above _GRAM_CEILING a partial sum, bounded by ||C||_F^2 up to
+# round-off, could overflow.
 _GRAM_FLOOR = 2.0 * sys.float_info.min
 _GRAM_CEILING = sys.float_info.max / 4.0
 
@@ -174,9 +175,9 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     # `zero` is returned.
     # `split(kernel, count)` runs kernel(part) on contiguous parts that
     # cover range(count), possibly in parallel; it carries the per-frame
-    # norms (and extremes) and both O(m*n*T^2) products, over groups of
-    # whole tiles. The T x T steps (sum of the partial Grams, eigh,
-    # shrink) stay on the calling thread.
+    # norms and both O(m*n*T^2) products, over groups of whole tiles. The
+    # T x T steps (sum of the partial Grams, eigh, shrink) stay on the
+    # calling thread.
     frames = x.shape[0]
     flat = np.ascontiguousarray(x).reshape(frames, -1)
     pixels = flat.shape[1]
@@ -188,41 +189,31 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     split(squared_norms, frames)
     # Summed in frame order. A NaN or an infinite part makes the sum NaN
     # or +inf, and so does a finite stack whose squares overflow; either
-    # fails the range test and takes the divided path below.
+    # fails the range test.
     total = sum(norms.tolist())
-    if pixels * _GRAM_FLOOR <= total <= _GRAM_CEILING:
-        # No singular value exceeds ||C||_F. This also covers threshold
-        # +inf.
-        if math.sqrt(total) <= threshold:
-            return _svt_zero(x, zero, out)
-        scale = 1.0
-        divisor = None
-    else:
-        # C is divided by its largest real or imaginary part, so that
-        # neither ||C||_F nor the Gram matrix C^H C overflows or
-        # underflows for any finite input (squaring raw entries above
-        # ~1e154 overflows). The division runs on the float64 view: the
-        # same values as a complex division by a real scale, several
-        # times faster.
-        parts = flat.view(np.float64)
-        highs, lows = np.empty(frames), np.empty(frames)
-
-        def extremes(block: slice) -> None:
-            np.max(parts[block], axis=1, out=highs[block])
-            np.min(parts[block], axis=1, out=lows[block])
-
-        split(extremes, frames)
-        scale = max(float(highs.max()), -float(lows.min()))
-        # The reductions propagate NaN and reach inf on an infinite part,
+    if not pixels * _GRAM_FLOOR <= total <= _GRAM_CEILING:
+        # The largest part propagates NaN and is inf on an infinite part,
         # so this is the finiteness check, before any other arithmetic.
-        if not math.isfinite(scale):
+        largest = _largest_part(flat)
+        if not math.isfinite(largest):
             raise _NonFiniteInput("singular value thresholding of a non-finite stack")
-        # Every entry has modulus <= sqrt(2) * scale, so ||C||_F <=
-        # sqrt(2 * entries) * scale. This also covers the zero stack
-        # (scale 0).
-        if math.sqrt(2.0 * flat.size) * scale <= threshold:
+        # Every entry has modulus <= sqrt(2) * largest, so ||C||_F <=
+        # sqrt(2 * entries) * largest. This also covers the zero stack, and
+        # bounds the scaled threshold below.
+        if math.sqrt(2.0 * flat.size) * largest <= threshold:
             return _svt_zero(x, zero, out)
-        divisor = scale
+        # The SVT commutes with scaling by 2**-e, which brings the squares
+        # into range: one more call, then the result is scaled back.
+        scaled, e = _rescaled(flat, largest)
+        result = _svt(scaled.reshape(x.shape), math.ldexp(threshold, -e), zero,
+                      out=out, split=split)
+        if result is not zero:
+            parts = result.reshape(-1).view(np.float64)
+            np.ldexp(parts, e, out=parts)
+        return result
+    # No singular value exceeds ||C||_F. This also covers threshold +inf.
+    if math.sqrt(total) <= threshold:
+        return _svt_zero(x, zero, out)
 
     tiles = _gram_tiles(pixels)
     partial = np.empty((tiles, frames, frames), dtype=np.complex128)
@@ -231,36 +222,23 @@ def _svt(x: np.ndarray, threshold: float, zero: np.ndarray | None = None, *,
     out_flat = out.reshape(frames, -1)
 
     def gram(group: slice) -> None:
-        # One partial Gram per tile, from the tile (on the divided path,
-        # divided by the scale first) and its conjugate, both formed while
-        # the tile is in cache. The conjugate goes to the tile's columns
-        # of `out`, which the rebuild overwrites.
-        scaled = (None if divisor is None
-                  else np.empty((frames, min(_GRAM_TILE, pixels)), dtype=np.complex128))
+        # One partial Gram per tile, from the tile and its conjugate, formed
+        # while the tile is in cache. The conjugate goes to the tile's
+        # columns of `out`, which the rebuild overwrites.
         for tile in range(group.start, group.stop):
-            lo = tile * _GRAM_TILE
-            hi = min(lo + _GRAM_TILE, pixels)
-            part = flat[:, lo:hi]
-            if scaled is not None:
-                part = scaled[:, :hi - lo]
-                np.divide(parts[:, 2 * lo:2 * hi], divisor, out=part.view(np.float64))
-            conjugate = out_flat[:, lo:hi]
-            np.conjugate(part, out=conjugate)
-            np.matmul(conjugate, part.T, out=partial[tile])
+            columns = slice(tile * _GRAM_TILE, min((tile + 1) * _GRAM_TILE, pixels))
+            conjugate = out_flat[:, columns]
+            np.conjugate(flat[:, columns], out=conjugate)
+            np.matmul(conjugate, flat[:, columns].T, out=partial[tile])
 
     split(gram, tiles)
     # Added in tile order, so the sum does not depend on the grouping.
     gram_matrix = partial.sum(axis=0)
-    # ||C||_F of the divided stack from the trace: again, no singular
-    # value can exceed it.
-    if (divisor is not None
-            and scale * math.sqrt(float(gram_matrix.diagonal().real.sum())) <= threshold):
-        return _svt_zero(x, zero, out)
     try:
         eigenvalues, vectors = np.linalg.eigh(gram_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed during singular value thresholding") from exc
-    sigma = scale * np.sqrt(np.maximum(eigenvalues, 0.0))
+    sigma = np.sqrt(np.maximum(eigenvalues, 0.0))
     keep = sigma > threshold
     if not keep.any():
         return _svt_zero(x, zero, out)

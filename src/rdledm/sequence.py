@@ -68,15 +68,19 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _largest_part(x: np.ndarray) -> float:
-    # The largest |real| or |imaginary| part of the complex128 stack x.
-    return float(np.abs(x.ravel().view(np.float64)).max())
+    # The largest |real| or |imaginary| part of the complex128 stack x, from
+    # the extremes of its float64 view (no |x| copy); NaN and inf propagate.
+    parts = x.ravel().view(np.float64)
+    return max(float(parts.max()), -float(parts.min()))
 
 
-def _divided(x: np.ndarray, scale: float) -> np.ndarray:
-    # x / scale for a real scale > 0, divided on the float64 view: NumPy
-    # divides a complex number by a real one by multiplying with 1/scale,
-    # which is inf when the scale is subnormal.
-    return (x.ravel().view(np.float64) / scale).view(np.complex128).reshape(x.shape)
+def _rescaled(x: np.ndarray, largest: float) -> tuple[np.ndarray, int]:
+    # (x * 2**-e, e) for e the binary exponent of x's largest part, a finite
+    # `largest` > 0: the copy's largest part lies in [1/2, 1). Scaling by a
+    # power of two, and back, is exact wherever the parts stay normal.
+    e = math.frexp(largest)[1]
+    parts = np.ldexp(x.ravel().view(np.float64), -e)
+    return parts.view(np.complex128).reshape(x.shape), e
 
 
 # Below this a norm's squares have underflowed, to 0 or to subnormals
@@ -88,16 +92,18 @@ def frobenius_norm(x) -> float:
     """Square root of the sum of squared magnitudes over the whole stack.
 
     Exact to rounding for any finite stack: where the squares overflow or
-    underflow, the norm is taken on the stack divided by its largest real
-    or imaginary part and scaled back.
+    underflow, the norm is taken on the stack scaled by the power of two
+    that brings its largest real or imaginary part into [1/2, 1), and
+    scaled back. A norm beyond the float range is ``inf``.
     """
     x = as_sequence(x)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x.ravel()))
-    if math.isinf(norm) or norm < _TINY_NORM:
-        scale = _largest_part(x)
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(_divided(x, scale)))
+        if math.isinf(norm) or norm < _TINY_NORM:
+            largest = _largest_part(x)
+            if largest > 0.0:
+                scaled, e = _rescaled(x, largest)
+                norm = float(np.ldexp(np.linalg.norm(scaled.ravel()), e))
     return norm
 
 

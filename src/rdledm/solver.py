@@ -41,14 +41,13 @@ from .operators import (
     DualField,
     _dft2,
     _frame_squared_norms,
-    _gram_tiles,
     _idft2,
     _NonFiniteInput,
     _shrink_to_unit_disc,
     _svt,
 )
 from .sampling import _as_stack_and_mask
-from .sequence import _as_pair, _divided, _largest_part
+from .sequence import _as_pair, _largest_part, _rescaled
 
 # Spectral norm of the measurement operator (unitary DFT composed with a
 # binary mask); exact, not estimated.
@@ -155,16 +154,16 @@ def _relative_error(x_next: np.ndarray, x_prev: np.ndarray,
     # For finite stacks either overflows to +inf once entries pass about
     # 1e154, and ||x_prev||^2 underflows (to 0, or to a subnormal with
     # few digits left) once they fall below about 1e-154. The ratio does
-    # not depend on scale, so it is then taken on copies divided by the
-    # largest real or imaginary part of the two (the difference of such
-    # copies cannot overflow either); a zero scale means both are zero.
+    # not depend on scale, so it is then taken on copies rescaled by the
+    # power of two that brings the largest real or imaginary part of the
+    # two into [1/2, 1) (the difference of such copies cannot overflow
+    # either); a zero largest part means both are zero.
     if (not (math.isfinite(change_sq) and math.isfinite(prev_sq))
             or prev_sq < sys.float_info.min):
-        scale = max(_largest_part(x_next), _largest_part(x_prev))
-        if scale == 0.0:
+        largest = max(_largest_part(x_next), _largest_part(x_prev))
+        if largest == 0.0:
             return 0.0
-        x_next = _divided(x_next, scale)
-        x_prev = _divided(x_prev, scale)
+        x_next, x_prev = (_rescaled(z, largest)[0] for z in (x_next, x_prev))
         change_sq = _squared_norm(x_next - x_prev)
         prev_sq = _squared_norm(x_prev)
     if prev_sq == 0.0:
@@ -295,20 +294,20 @@ class _FrameBlocks:
 
     :meth:`split` runs a kernel on one contiguous part of ``range(count)``
     per worker (none empty); the calling thread runs the first part and
-    pool threads the rest. The parts are cut once, for the two counts a
-    solve splits. :meth:`run` splits the frame axis of the stacks it is
-    given; the SVT splits its pixel tiles. Every kernel writes each
-    entry of its part from that part's inputs alone, and the cut does not
-    change what a frame or a tile computes, so results are bit-identical
-    for any worker count. On one worker there is no pool; otherwise it
-    lives only as long as the ``with`` block of one solve.
+    pool threads the rest. The parts for a count are cut the first time
+    it is split and kept for the rest of the solve. :meth:`run` splits
+    the frame axis of the stacks it is given; the SVT splits its pixel
+    tiles. Every kernel writes each entry of its part from that part's
+    inputs alone, and the cut does not change what a frame or a tile
+    computes, so results are bit-identical for any worker count. On one
+    worker there is no pool; otherwise it lives only as long as the
+    ``with`` block of one solve.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
-        frames, rows, cols = shape
-        self._frames = frames
+        self._frames = shape[0]
         self._workers = _worker_count(*shape)
-        self._parts = {count: self._cut(count) for count in (frames, _gram_tiles(rows * cols))}
+        self._parts = {}
         self._pool = None
         if self._workers > 1:
             # Imported here: a process that never runs a pool (most CLI
@@ -333,6 +332,9 @@ class _FrameBlocks:
         return first, rest
 
     def split(self, kernel, count: int) -> None:
+        # Called on the calling thread only, so the cache needs no lock.
+        if count not in self._parts:
+            self._parts[count] = self._cut(count)
         first, rest = self._parts[count]
         jobs = [self._pool.submit(kernel, part) for part in rest]
         kernel(first)

@@ -536,6 +536,26 @@ class TestExitCodes:
         assert "non-negative integer, got -1" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,message", [
+        (["sweep", "--ratios", "0.2,0.5,nan", "--config", "{config}"], "sweep ratio"),
+        (["sweep", "--ratios", "0.2,1.5", "--config", "{config}"], "sweep ratio"),
+        (["sweep", "--ratios", "0.3,inf", "--config", "{config}"], "sweep ratio"),
+        (["sweep", "--ratios", "0,0.3", "--config", "{config}"], "sweep ratio"),
+        (["reconstruct", "--config", "{ratio_config}"], "mask.ratio"),
+        (["sweep", "--ratios", ",", "--config", "{config}"], "at least one value"),
+    ], ids=["sweep-nan", "sweep-1.5", "sweep-inf", "sweep-0", "reconstruct-1.5",
+            "sweep-empty"])
+    def test_bad_ratio_exits_2_before_any_output(self, tmp_path, capsys, command, message):
+        # rejected before any cell runs or the run directory is made
+        names = {"config": tmp_path / "config.json", "ratio_config": tmp_path / "ratio.json"}
+        names["config"].write_text(json.dumps(config_doc(tmp_path / "out")))
+        names["ratio_config"].write_text(
+            json.dumps(config_doc(tmp_path / "out", mask={"ratio": 1.5})))
+        assert main([arg.format(**names) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_huge_header_exits_4(self, tmp_path, capsys):
         # 27 bytes whose header claims a 1.6e18-byte payload
         huge_seq = tmp_path / "huge.dseq"

@@ -123,6 +123,21 @@ class TestDifferences:
         with pytest.raises(DimensionError):
             grad_adjoint(y)
 
+    def test_dual_rejects_components_that_are_not_3d(self, rng):
+        y = DualField(random_sequence(rng, 1, 2, 3)[0], random_sequence(rng, 1, 3, 2))
+        for call in (grad_adjoint, project_linf_ball):
+            with pytest.raises(DimensionError, match="3-d"):
+                call(y)
+
+    @pytest.mark.parametrize("component", ["p", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dual_rejects_non_finite_components(self, rng, component, bad):
+        y = DualField(random_sequence(rng, 1, 2, 3), random_sequence(rng, 1, 3, 2))
+        getattr(y, component)[0, 1, 0] = bad
+        for call in (grad_adjoint, project_linf_ball):
+            with pytest.raises(DimensionError, match="NaN or Inf"):
+                call(y)
+
     @pytest.mark.parametrize("rows,cols", [(2, 2), (5, 6), (1, 4), (4, 1)])
     def test_adjoint_bytes_match_zero_filled_accumulation(self, rows, cols):
         # every bit, signed zeros included, is that of fill(0) and four
@@ -365,13 +380,14 @@ class TestSvtTiles:
 
     @pytest.mark.parametrize("scale,kernels", [
         (1.0, ["squared_norms", "gram", "rebuild"]),
-        (1e160, ["squared_norms", "extremes", "gram", "rebuild"]),
-        (1e-160, ["squared_norms", "extremes", "gram", "rebuild"]),
+        (1e160, ["squared_norms", "squared_norms", "gram", "rebuild"]),
+        (1e-160, ["squared_norms", "squared_norms", "gram", "rebuild"]),
     ])
     def test_divides_only_where_squares_leave_range(self, rng, scale, kernels):
         # Squares of parts near 1e160 overflow and those near 1e-160
-        # underflow: those stacks take the extremes and divide. Neither path
-        # warns, nor does the public svt.
+        # underflow: those stacks are rescaled by a power of two and take
+        # the norms once more, in range. Neither path warns, nor does the
+        # public svt.
         x = scale * random_sequence(rng, *self.SHAPE)
         threshold = 0.5 * scale * top_singular_value(x / scale)
         called = []
@@ -386,6 +402,21 @@ class TestSvtTiles:
             assert svt(x, threshold).tobytes() == out.tobytes()
         assert called == kernels
         assert np.isfinite(out).all() and np.count_nonzero(out) > 0
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [-600, 600, 1000])
+    def test_power_of_two_scale_is_exact(self, seed, k):
+        # svt(2**k x, 2**k t) == 2**k svt(x, t), bit for bit: the rescale
+        # into range and back is by powers of two, and every part stays
+        # normal at these exponents.
+        x = random_sequence(np.random.default_rng(seed), 4, 5, 6)
+        threshold = 0.5 * top_singular_value(x)
+        out = svt(np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k), math.ldexp(threshold, k))
+        expected = svt(x, threshold)
+        assert np.count_nonzero(expected) > 0
+        assert out.tobytes() == (np.ldexp(expected.real, k)
+                                 + 1j * np.ldexp(expected.imag, k)).tobytes()
 
 
 class TestDualProjection:

@@ -148,6 +148,11 @@ class TestValidation:
         with pytest.raises(DimensionError):
             PhantomSpec(rows=8, cols=8, frames=0)
 
+    @pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1)])
+    def test_grid_below_2x2(self, rows, cols):
+        with pytest.raises(DimensionError, match="at least 2x2"):
+            PhantomSpec(rows=rows, cols=cols, frames=1)
+
     def test_default_ellipses_are_valid(self):
         PhantomSpec(rows=64, cols=64, frames=4, ellipses=DEFAULT_ELLIPSES)
 

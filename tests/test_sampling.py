@@ -64,6 +64,11 @@ class TestValidation:
         with pytest.raises(DimensionError):
             as_mask(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_rejects_empty_axis(self, shape):
+        with pytest.raises(DimensionError, match="nonempty"):
+            as_mask(np.ones(shape))
+
     def test_achieved_ratio_counts(self):
         mask = np.zeros((1, 2, 4), dtype=np.uint8)
         mask[0, 0, :2] = 1
@@ -126,6 +131,11 @@ class TestMakeMaskCommon:
     def test_bad_frames(self):
         with pytest.raises(DimensionError):
             make_mask("cartesian", 0, 8, 8, 0.5, seed=0)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1)])
+    def test_grid_below_2x2(self, rows, cols):
+        with pytest.raises(DimensionError, match="at least 2x2"):
+            make_mask("cartesian", 1, rows, cols, 0.5, seed=0)
 
     @pytest.mark.parametrize("pattern", ["cartesian", "radial", "random2d"])
     @pytest.mark.parametrize("ratio", [0.5, 1.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestNorms:
         x = np.array([[[3e-310, 1e-310j], [0, 0]]])
         assert frobenius_norm(x) == pytest.approx(math.sqrt(10) * 1e-310, rel=1e-6, abs=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [-600, 600, 1000])
+    def test_power_of_two_scale_is_exact(self, seed, k):
+        # frobenius_norm(2**k x) == 2**k frobenius_norm(x), bit for bit,
+        # where the squares of 2**k x overflow or underflow
+        x = random_sequence(np.random.default_rng(seed), 3, 4, 5)
+        scaled = np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+        assert frobenius_norm(scaled) == math.ldexp(frobenius_norm(x), k)
+
+    def test_norm_beyond_float_range_is_inf(self):
+        # every part is finite, the norm 1.5e308 * sqrt(16) is not
+        x = np.full((2, 2, 2), 1.5e308 + 1.5e308j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(x) == math.inf
+
     def test_inner_product_counts_ones(self):
         ones = np.ones((1, 2, 2), dtype=complex)
         assert inner_product(ones, ones) == 4 + 0j
@@ -149,6 +166,11 @@ class TestCasorati:
     def test_from_casorati_rejects_bad_rows(self, rng):
         with pytest.raises(DimensionError):
             from_casorati(np.zeros((5, 2), dtype=complex), 2, 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1, 1)])
+    def test_from_casorati_rejects_other_ranks(self, shape):
+        with pytest.raises(DimensionError, match="2-d matrix"):
+            from_casorati(np.zeros(shape, dtype=complex), 2, 2)
 
 
 class TestFileFormat:

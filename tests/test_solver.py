@@ -203,6 +203,18 @@ class TestRelativeError:
         assert relative_error(1.1e-170 * ones, 1e-170 * ones) == pytest.approx(0.01, rel=1e-9)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", [-600, 600, 1000])
+    def test_power_of_two_scale_is_exact(self, seed, k):
+        # relative_error(2**k b, 2**k a) == relative_error(b, a), bit for
+        # bit, where the squared norms of the scaled stacks leave range
+        gen = np.random.default_rng(seed)
+        a = random_sequence(gen, 2, 3, 4)
+        b = a + random_sequence(gen, 2, 3, 4, scale=0.1)
+        scaled = [np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k) for z in (b, a)]
+        assert relative_error(*scaled) == relative_error(b, a)
+
+
 class TestSolveMechanics:
     def test_report_shape_and_bookkeeping(self, small_problem):
         truth, mask, data = small_problem
@@ -298,6 +310,13 @@ class TestSolveMechanics:
         with pytest.raises(DimensionError):
             rdledm_solve(bad, mask, run_config(max_iters=1))
 
+    @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 4, 1)])
+    def test_frames_below_2x2_rejected(self, solve, shape):
+        with pytest.raises(DimensionError, match="at least 2x2"):
+            solve(np.ones(shape, dtype=complex), np.ones(shape, dtype=np.uint8),
+                  run_config(max_iters=1))
+
     def test_runaway_coupling_raises_divergence(self, small_problem):
         _, mask, data = small_problem
         config = run_config(max_iters=50, tau=1e150, epsilon_threshold=0.0)
@@ -381,8 +400,8 @@ class TestFrameBlocks:
         assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
 
     def test_parts_are_cut_once_per_count(self, tiled_problem, monkeypatch):
-        # the frame count and the SVT's tile count, each cut when the
-        # blocks are made, however many kernels a solve then splits
+        # the frame count and the SVT's tile count, each cut the first
+        # time it is split, however many kernels a solve then splits
         _, mask, data = tiled_problem
         monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
         cut, counts = solver._FrameBlocks._cut, []
@@ -443,7 +462,7 @@ def _flipped(mask):
     return mask
 
 
-AXES_CASES = {
+FIDELITY_CASES = {
     "cartesian": lambda shape: make_mask("cartesian", *shape, 0.4, seed=1),
     "static-cartesian": lambda shape: make_mask("cartesian", *shape, 0.4, seed=1,
                                                 static=True),
@@ -462,7 +481,7 @@ ROW_CONSTANT_CASES = ("cartesian", "static-cartesian", "all-zero", "all-one")
 class TestFftAxes:
     """The fidelity operator: dense row product or 2-D DFT pair."""
 
-    @pytest.mark.parametrize("case", list(AXES_CASES))
+    @pytest.mark.parametrize("case", list(FIDELITY_CASES))
     def test_operator_table(self, case):
         # row-constant at or under the crossover: dense; above it, and any
         # other mask at any size: the 2-D pair. Every size the CLI's
@@ -472,13 +491,13 @@ class TestFftAxes:
         shapes = [((4, rows, 12), dense), ((4, rows + 1, 12), False)]
         shapes += [((4, size, size), dense) for size in PRESET_SIZES]
         for shape, expected in shapes:
-            assert solver._dense_fidelity(AXES_CASES[case](shape)) == expected, shape
+            assert solver._dense_fidelity(FIDELITY_CASES[case](shape)) == expected, shape
 
     @pytest.mark.parametrize("solve,overrides", [
         (rdledm_solve, {"tau": 0.02, "epsilon_threshold": 0.05}),
         (baseline_tvnn_solve, {}),
     ])
-    def test_row_axis_path_matches_two_axis_path(self, small_problem, monkeypatch, solve,
+    def test_dense_path_matches_2d_pair(self, small_problem, monkeypatch, solve,
                                                  overrides):
         # The dense row product and the 2-D pair give one operator, so the
         # paths differ by round-off only (at most 2.1e-13 relative, in the
