@@ -76,13 +76,16 @@ def as_mask(mask) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _as_stack_and_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
-    # A validated sequence (or k-space stack) and mask of one shape.
-    x = as_sequence(x)
-    mask = as_mask(mask)
+def _matching(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # A trusted stack and mask, checked to be of one shape.
     if x.shape != mask.shape:
         raise DimensionError(f"stack shape {x.shape} != mask shape {mask.shape}")
     return x, mask
+
+
+def _as_stack_and_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
+    # A validated sequence (or k-space stack) and mask of one shape.
+    return _matching(as_sequence(x), as_mask(mask))
 
 
 def achieved_ratio(mask) -> float:
@@ -184,17 +187,26 @@ def _radial_mask(draws: int, frames: int, rows: int, cols: int, ratio: float,
         # the spoke set.
         return _radial_raster(rows, cols, spokes, units * np.pi / spokes, frames)
 
-    # Each spoke count the search tries is built once; only the chosen
-    # one is built again, for the result.
+    # Each spoke count the search tries is built once. Its mask is kept
+    # while the count can still be chosen, that is while it lies in the
+    # bracket lo - 1 .. hi, so the chosen one need not be built again and
+    # at most three masks are alive at a time.
+    masks: dict[int, np.ndarray] = {}
+
     @functools.cache
     def fraction(spokes: int) -> float:
-        mask = build(spokes)
+        masks[spokes] = mask = build(spokes)
         return np.count_nonzero(mask) / mask.size
+
+    def narrow(lo: int, hi: int) -> None:
+        for spokes in [s for s in masks if not lo - 1 <= s <= hi]:
+            del masks[spokes]
 
     cap = 4 * (rows + cols)
     lo, hi = 1, 2
     while hi < cap and fraction(hi) < ratio:
         lo, hi = hi, hi * 2
+        narrow(lo, hi)
     hi = min(hi, cap)
     # Smallest spoke count reaching the requested ratio; its neighbor
     # from below may land closer, so compare both.
@@ -204,6 +216,7 @@ def _radial_mask(draws: int, frames: int, rows: int, cols: int, ratio: float,
             lo = mid + 1
         else:
             hi = mid
+        narrow(lo, hi)
     best = min((s for s in (lo - 1, lo) if s >= 1), key=lambda s: abs(fraction(s) - ratio))
     error = abs(fraction(best) - ratio)
     if error > RADIAL_RATIO_TOLERANCE:
@@ -211,7 +224,7 @@ def _radial_mask(draws: int, frames: int, rows: int, cols: int, ratio: float,
             f"radial pattern cannot reach ratio {ratio} on a {rows}x{cols} grid; "
             f"closest achievable is off by {error:.4f}"
         )
-    return build(best)
+    return masks[best]
 
 
 def _random2d_frame(rng, rows: int, cols: int, ratio: float) -> np.ndarray:
@@ -278,16 +291,25 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     zeroed, so the retained measurements are genuinely noisy.
     ``sigma=0`` reproduces the noiseless masked spectrum exactly.
     """
-    x, mask = _as_stack_and_mask(x, mask)
+    return _measure(*_as_stack_and_mask(x, mask), sigma, seed)
+
+
+def _measure(x: np.ndarray, mask: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    # measure for a validated stack and mask of one shape. Each frame's
+    # noise is drawn into one reused buffer, real part first, scaled in
+    # place and added into the real, then the imaginary parts of k.
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_seed(seed)
     k = _dft2(x)
     if sigma > 0:
-        shape = x.shape[1:]
+        noise = np.empty(x.shape[1:])
         for t in range(x.shape[0]):
             rng = _frame_rng(seed, t)
-            k[t] += sigma * rng.standard_normal(shape) + 1j * sigma * rng.standard_normal(shape)
+            for part in (k[t].real, k[t].imag):
+                rng.standard_normal(out=noise)
+                noise *= sigma
+                part += noise
     k *= mask
     return k
 
@@ -311,14 +333,17 @@ def zero_fill(b, mask) -> np.ndarray:
 
 def write_mask(mask, path) -> None:
     """Write a mask to ``path`` in the MASK1 format."""
-    mask = as_mask(mask)
-    _write_payload(path, MASK_MAGIC, mask.shape, mask.tobytes())
+    _write_mask(as_mask(mask), path)
+
+
+def _write_mask(mask: np.ndarray, path) -> None:
+    # write_mask for a mask the package made or a strict reader returned.
+    _write_payload(path, MASK_MAGIC, mask)
 
 
 def read_mask(path) -> np.ndarray:
     """Read a MASK1 file, validating magic, header, payload size, values."""
-    dims, payload = _read_payload(path, MASK_MAGIC, 1)
-    flat = np.frombuffer(payload, dtype=np.uint8)
-    if not _binary(flat):
+    mask = _read_payload(path, MASK_MAGIC, np.dtype(np.uint8))
+    if not _binary(mask):
         raise FileFormatError(f"{path}: payload bytes must all be 0 or 1")
-    return flat.reshape(dims).copy()
+    return mask

@@ -169,24 +169,29 @@ def _parse_dims(line: bytes, path) -> tuple[int, int, int]:
 
 def write_sequence(x, path) -> None:
     """Write a sequence to ``path`` in the DSEQ1 format."""
-    x = as_sequence(x)
-    _write_payload(path, SEQUENCE_MAGIC, x.shape, x.astype(_VALUE_DTYPE, copy=False).tobytes())
+    _write_sequence(as_sequence(x), path)
 
 
-def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int, int], bytes]:
-    """Read a magic + "T m n" header file; return its dims and exact payload.
+def _write_sequence(x: np.ndarray, path) -> None:
+    # write_sequence for a stack the package made or a strict reader returned.
+    _write_payload(path, SEQUENCE_MAGIC, x.astype(_VALUE_DTYPE, copy=False))
+
+
+def _read_payload(path, magic: bytes, dtype: np.dtype) -> np.ndarray:
+    """Read a magic + "T m n" header file into a new (T, m, n) ``dtype`` array.
 
     Shared by the DSEQ1 and MASK1 readers. The payload size the header
-    implies is checked against the file size before anything is read, so
-    a header that claims more data than the file holds cannot make the
-    reader allocate it.
+    implies is checked against the file size before anything is
+    allocated, so a header that claims more data than the file holds
+    cannot make the reader allocate it. The payload is read straight
+    into the returned array, which is owned, writeable and C-contiguous.
     """
     with open(path, "rb") as handle:
         found = handle.read(len(magic))
         if found != magic:
             raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
         dims = _parse_dims(_read_header_line(handle, path), path)
-        expected = entry_bytes * dims[0] * dims[1] * dims[2]
+        expected = dtype.itemsize * dims[0] * dims[1] * dims[2]
         available = os.fstat(handle.fileno()).st_size - handle.tell()
         if available < expected:
             raise PayloadSizeError(
@@ -194,27 +199,31 @@ def _read_payload(path, magic: bytes, entry_bytes: int) -> tuple[tuple[int, int,
             )
         if available > expected:
             raise PayloadSizeError(f"{path}: trailing bytes after {expected}-byte payload")
-        payload = handle.read(expected)
-    if len(payload) != expected:
+        values = np.empty(dims, dtype)
+        count = handle.readinto(values.reshape(-1).view(np.uint8))
+    if count != expected:
         raise PayloadSizeError(f"{path}: file shrank while its payload was read")
-    return dims, payload
+    return values
 
 
-def _write_payload(path, magic: bytes, dims: tuple[int, int, int], payload: bytes) -> None:
-    """Write a magic + "T m n" header file; the writer behind DSEQ1 and MASK1."""
-    frames, rows, cols = dims
+def _write_payload(path, magic: bytes, values: np.ndarray) -> None:
+    """Write a magic + "T m n" header file; the writer behind DSEQ1 and MASK1.
+
+    ``values`` is a (T, m, n) stack in its on-disk dtype. Its buffer is
+    written as it is; only a strided stack is copied first, into C order.
+    """
+    frames, rows, cols = values.shape
     with open(path, "wb") as handle:
         handle.write(magic)
         handle.write(f"{frames} {rows} {cols}\n".encode("ascii"))
-        handle.write(payload)
+        handle.write(memoryview(np.ascontiguousarray(values)))
 
 
 def read_sequence(path) -> np.ndarray:
     """Read a DSEQ1 file, validating magic, header, payload size and values."""
-    dims, payload = _read_payload(path, SEQUENCE_MAGIC, _VALUE_DTYPE.itemsize)
-    # One copy out of the read-only buffer, bit for bit: the signs of
-    # zero parts survive, and the result is owned and writeable.
-    values = np.frombuffer(payload, dtype=_VALUE_DTYPE).reshape(dims).astype(np.complex128)
+    # Bit for bit, so the signs of zero parts survive. The on-disk dtype
+    # is complex128 on a little-endian host, so the cast copies nothing.
+    values = _read_payload(path, SEQUENCE_MAGIC, _VALUE_DTYPE).astype(np.complex128, copy=False)
     if not np.isfinite(values).all():
         raise FileFormatError(f"{path}: payload holds NaN or Inf values")
     return values

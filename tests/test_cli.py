@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdledm import cli, experiment
+from rdledm import cli, experiment, metrics, operators, sampling, sequence, solver
 from rdledm.cli import build_parser, main
 from rdledm.errors import ConfigError
 from rdledm.experiment import (
@@ -392,6 +392,25 @@ class TestCliCommands:
             "frame_0000.pgm", "frame_0001.pgm",
         ]
 
+    def test_measure_rejects_mismatched_inputs(self, tmp_path, capsys):
+        seq = tmp_path / "p.dseq"
+        mask = tmp_path / "m.mask"
+        main(["phantom", "--preset", "cine-like", "--size", "64", "--frames", "2",
+              "--out", str(seq)])
+        main(["mask", "--pattern", "cartesian", "--rows", "64", "--cols", "64",
+              "--frames", "3", "--ratio", "0.3", "--out", str(mask)])
+        out = tmp_path / "k.dseq"
+        capsys.readouterr()
+        assert main(["measure", "--seq", str(seq), "--mask", str(mask),
+                     "--out", str(out)]) == 2
+        assert "stack shape (2, 64, 64) != mask shape (3, 64, 64)" in capsys.readouterr().err
+        main(["mask", "--pattern", "cartesian", "--rows", "64", "--cols", "64",
+              "--frames", "2", "--ratio", "0.3", "--out", str(mask)])
+        assert main(["measure", "--seq", str(seq), "--mask", str(mask),
+                     "--sigma", "-0.1", "--out", str(out)]) == 2
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_command(self, tmp_path, capsys):
         config = write_config(tmp_path, solver={"max_iters": 10})
         assert main(["reconstruct", "--config", str(config)]) == 0
@@ -448,6 +467,50 @@ BAD_FIELDS = [
     ("phantom", "size", 33.9), ("phantom", "preset", 3), ("noise", "sigma", math.nan),
     ("output", "export_pgm", "no"), ("noise", "seed", None),
 ]
+
+
+class TestScannedOnce:
+    """Each stack on the acquisition and file path is validated once: by
+    the public function that receives it, or by the strict reader that
+    returns it. Validation is counted in every namespace that holds it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = dict.fromkeys(("as_sequence", "as_mask", "read_sequence", "read_mask"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (sequence, sampling, operators, metrics, experiment, solver, cli):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    def test_zerofill_reconstruction(self, tmp_path, calls):
+        doc = config_doc(tmp_path / "run", solver={"method": "zerofill"},
+                         output={"export_pgm": True})
+        run_reconstruction(experiment_config_from_json(doc))
+        # measure validates the phantom and the mask; its k-space, the
+        # zero-filled image and the files written from them are trusted.
+        assert calls == {"as_sequence": 1, "as_mask": 1, "read_sequence": 0, "read_mask": 0}
+
+    def test_cli_chain(self, tmp_path, calls, capsys):
+        seq, mask, out = tmp_path / "p.dseq", tmp_path / "m.mask", tmp_path / "k.dseq"
+        main(["phantom", "--preset", "cine-like", "--size", "64", "--frames", "2",
+              "--out", str(seq)])
+        main(["mask", "--pattern", "radial", "--rows", "64", "--cols", "64",
+              "--frames", "2", "--ratio", "0.3", "--out", str(mask)])
+        # The phantom is written unscanned; achieved_ratio checks the mask.
+        assert calls == {"as_sequence": 0, "as_mask": 1, "read_sequence": 0, "read_mask": 0}
+        assert main(["measure", "--seq", str(seq), "--mask", str(mask),
+                     "--out", str(out)]) == 0
+        assert calls == {"as_sequence": 0, "as_mask": 1, "read_sequence": 1, "read_mask": 1}
+        assert main(["export", "--seq", str(out), "--out-dir", str(tmp_path / "x")]) == 0
+        assert calls == {"as_sequence": 0, "as_mask": 1, "read_sequence": 2, "read_mask": 1}
 
 
 class TestExitCodes:

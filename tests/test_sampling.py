@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rdledm.errors import (
 )
 from rdledm.operators import dft2_forward
 from rdledm.sampling import (
+    MASK_MAGIC,
     achieved_ratio,
     adjoint_op,
     as_mask,
@@ -287,7 +289,25 @@ class TestMaskFiles:
         mask = make_mask("cartesian", 3, 16, 16, 0.5, seed=2)
         path = tmp_path / "m.mask"
         write_mask(mask, path)
-        assert np.array_equal(read_mask(path), mask)
+        back = read_mask(path)
+        assert np.array_equal(back, mask)
+        assert back.dtype == np.uint8
+        assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", [
+        lambda m: m[:, ::2],
+        lambda m: m.astype(bool),
+        np.asfortranarray,
+        lambda m: m[:, ::-1].astype(np.int64),
+    ], ids=["strided", "bool", "fortran", "reversed-int64"])
+    def test_any_layout_writes_its_native_bytes(self, tmp_path, layout):
+        mask = layout(make_mask("random2d", 3, 16, 12, 0.4, seed=2))
+        native = np.ascontiguousarray(mask, dtype=np.uint8)
+        write_mask(mask, tmp_path / "m.mask")
+        frames, rows, cols = mask.shape
+        header = MASK_MAGIC + f"{frames} {rows} {cols}\n".encode()
+        assert (tmp_path / "m.mask").read_bytes() == header + native.tobytes()
+        assert np.array_equal(read_mask(tmp_path / "m.mask"), mask)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.mask"
@@ -407,19 +427,23 @@ class TestPinnedAcquisition:
     def test_radial_search_builds_each_spoke_count_once(self, monkeypatch, shape, static):
         frames, rows, cols = shape
         builds = []
+        built = []
         radial_raster = sampling._radial_raster
 
         def counting(rows, cols, spokes, offsets, mask_frames):
             builds.append(spokes)
             assert offsets.shape == (1 if static else frames,)
             assert mask_frames == frames
-            return radial_raster(rows, cols, spokes, offsets, mask_frames)
+            # the search keeps at most two earlier masks alive
+            assert sum(ref() is not None for ref in built) <= 2
+            mask = radial_raster(rows, cols, spokes, offsets, mask_frames)
+            built.append(weakref.ref(mask))
+            return mask
 
         monkeypatch.setattr(sampling, "_radial_raster", counting)
         make_mask("radial", frames, rows, cols, 0.25, seed=5, static=static)
-        # every count once, then the chosen one again for the result
-        assert len(builds) == len(set(builds)) + 1
-        assert builds[-1] in builds[:-1]
+        # every count once, the chosen one included
+        assert len(builds) == len(set(builds))
 
 
 def radial_frame_oracle(rows, cols, spokes, offset):

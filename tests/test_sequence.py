@@ -1,4 +1,6 @@
 import math
+import os
+import types
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rdledm import sequence
 from rdledm.errors import (
     BadMagicError,
     DimensionError,
@@ -191,7 +194,7 @@ class TestFileFormat:
         write_sequence(x, path)
         back = read_sequence(path)
         assert back.tobytes() == x.tobytes()
-        assert back.flags.owndata and back.flags.writeable
+        assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
         write_sequence(back, tmp_path / "again.dseq")
         assert (tmp_path / "again.dseq").read_bytes() == path.read_bytes()
 
@@ -277,6 +280,21 @@ class TestFileFormat:
         with pytest.raises(PayloadSizeError):
             read_sequence(path)
 
+    @pytest.mark.parametrize("layout", [
+        lambda x: x[:, ::2],
+        np.asfortranarray,
+        lambda x: x.astype(">c16"),
+        lambda x: x[::-1, :, ::-1],
+    ], ids=["strided", "fortran", "big-endian", "reversed"])
+    def test_any_layout_writes_its_native_bytes(self, rng, tmp_path, layout):
+        x = layout(random_sequence(rng, 3, 6, 5))
+        native = np.ascontiguousarray(x, dtype="<c16")
+        write_sequence(x, tmp_path / "x.dseq")
+        frames, rows, cols = x.shape
+        header = SEQUENCE_MAGIC + f"{frames} {rows} {cols}\n".encode()
+        assert (tmp_path / "x.dseq").read_bytes() == header + native.tobytes()
+        assert read_sequence(tmp_path / "x.dseq").tobytes() == native.tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_payload(self, tmp_path, bad):
         path = tmp_path / "nan.dseq"
@@ -284,6 +302,27 @@ class TestFileFormat:
         path.write_bytes(b"DSEQ1\n1 1 2\n" + payload)
         with pytest.raises(FileFormatError, match="NaN or Inf"):
             read_sequence(path)
+
+
+@pytest.mark.parametrize("magic,read,entry", [(SEQUENCE_MAGIC, read_sequence, 16),
+                                              (MASK_MAGIC, read_mask, 1)],
+                         ids=["DSEQ1", "MASK1"])
+def test_file_shrinking_while_read(tmp_path, monkeypatch, magic, read, entry):
+    # The size check passes against a stale size, then the payload falls
+    # one entry short: the reader must not return the partly filled array.
+    path = tmp_path / "shrinking"
+    path.write_bytes(magic + b"1 1 2\n" + b"\0" * entry)
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = real_fstat(fd)
+        fields = list(st)
+        fields[6] += entry  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(sequence, "os", types.SimpleNamespace(fstat=stale_fstat))
+    with pytest.raises(PayloadSizeError, match="file shrank while its payload was read"):
+        read(path)
 
 
 # Headers close to valid ones, so that payload checks are reached too.
