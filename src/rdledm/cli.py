@@ -19,19 +19,11 @@ from .errors import (
     NumericalError,
     RdledmError,
 )
-from .experiment import _write_pgm_frames, load_experiment_config, run_reconstruction, run_sweep
+from .experiment import load_experiment_config, run_reconstruction, run_sweep, write_pgm_frames
 from .metrics import format_float
 from .phantom import PRESET_FRAMES, PRESET_SIZES, generate_phantom, phantom_preset
-from .sampling import (
-    MASK_PATTERNS,
-    _matching,
-    _measure,
-    _write_mask,
-    achieved_ratio,
-    make_mask,
-    read_mask,
-)
-from .sequence import _write_sequence, read_sequence
+from .sampling import MASK_PATTERNS, achieved_ratio, make_mask, measure, read_mask, write_mask
+from .sequence import read_sequence, write_sequence
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,7 +33,7 @@ EXIT_IO = 4
 
 def cmd_phantom(preset: str, size: int, frames: int | None, out: str) -> int:
     spec = phantom_preset(preset, size, frames)
-    _write_sequence(generate_phantom(spec), out)
+    write_sequence(generate_phantom(spec), out)
     print(f"wrote {out}: {spec.frames} frames of {spec.rows}x{spec.cols} ({spec.name})")
     return EXIT_OK
 
@@ -49,16 +41,15 @@ def cmd_phantom(preset: str, size: int, frames: int | None, out: str) -> int:
 def cmd_mask(pattern: str, frames: int, rows: int, cols: int, ratio: float,
              seed: int, static: bool, out: str) -> int:
     mask = make_mask(pattern, frames, rows, cols, ratio, seed, static=static)
-    _write_mask(mask, out)
+    write_mask(mask, out)
     print(f"wrote {out}: {pattern} {frames}x{rows}x{cols}, "
           f"achieved ratio {achieved_ratio(mask):.4f}")
     return EXIT_OK
 
 
 def cmd_measure(seq: str, mask: str, sigma: float, seed: int, out: str) -> int:
-    # The strict readers validate both stacks; each is scanned once.
-    data = _measure(*_matching(read_sequence(seq), read_mask(mask)), sigma, seed)
-    _write_sequence(data, out)
+    data = measure(read_sequence(seq), read_mask(mask), sigma, seed)
+    write_sequence(data, out)
     print(f"wrote {out}: simulated acquisition, sigma={sigma}")
     return EXIT_OK
 
@@ -85,7 +76,7 @@ def cmd_sweep(config: str, ratios: list[float]) -> int:
 
 
 def cmd_export(seq: str, out_dir: str) -> int:
-    names = _write_pgm_frames(read_sequence(seq), out_dir)
+    names = write_pgm_frames(read_sequence(seq), out_dir)
     print(f"wrote {len(names)} frames to {out_dir}")
     return EXIT_OK
 

@@ -34,11 +34,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .metrics import _psnr_rmse, _reference, format_float
-from .operators import _idft2
+from .metrics import _score, format_float
 from .phantom import generate_phantom, phantom_preset
-from .sampling import _write_mask, make_mask, measure
-from .sequence import _largest_part, _rescaled, _write_sequence, as_sequence
+from .sampling import make_mask, measure, write_mask, zero_fill
+from .sequence import _largest_part, _rescaled, as_sequence, write_sequence
 from .solver import SolverConfig, baseline_tvnn_solve, rdledm_solve
 
 SOLVER_METHODS = ("rdledm", "baseline", "zerofill")
@@ -219,11 +218,7 @@ def write_pgm_frames(x, directory) -> list[str]:
     finite stack is scaled without overflow, however large or small its
     entries.
     """
-    return _write_pgm_frames(as_sequence(x), directory)
-
-
-def _write_pgm_frames(x: np.ndarray, directory) -> list[str]:
-    # write_pgm_frames for a stack the package made or a strict reader returned.
+    x = as_sequence(x)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     scaled = _gray_levels(x)
@@ -275,22 +270,12 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _reconstruct(config: ExperimentConfig, data, mask, reference=None):
-    """Solve by ``config.method``: (reconstruction, SolveReport or None).
-
-    ``data`` and ``mask`` come from ``measure`` and ``make_mask``, so the
-    zero-filled reconstruction is taken without validating them again.
-    """
+    """Solve by ``config.method``: (reconstruction, SolveReport or None)."""
     if config.method == "zerofill":
-        return _idft2(data * mask), None
+        return zero_fill(data, mask), None
     solve = rdledm_solve if config.method == "rdledm" else baseline_tvnn_solve
     report = solve(data, mask, config.solver, reference=reference)
     return report.reconstruction, report
-
-
-def _score(truth: np.ndarray, recon: np.ndarray) -> tuple[float, float]:
-    # (PSNR, RMSE) of a reconstruction against its phantom; both stacks
-    # were made by the package, so neither is validated again.
-    return _psnr_rmse(*_reference(truth), recon)
 
 
 def run_reconstruction(config: ExperimentConfig) -> dict:
@@ -330,18 +315,17 @@ def run_reconstruction(config: ExperimentConfig) -> dict:
         series = list(zip(range(1, report.iterations + 1), report.re_series,
                           report.psnr_series, report.rmse_series))
 
-    # Every stack here was made by the package: written without a re-scan.
-    _write_sequence(truth, out_dir / "truth.dseq")
-    _write_mask(mask, out_dir / "mask.mask")
-    _write_sequence(data, out_dir / "kspace.dseq")
-    _write_sequence(recon, out_dir / "recon.dseq")
+    write_sequence(truth, out_dir / "truth.dseq")
+    write_mask(mask, out_dir / "mask.mask")
+    write_sequence(data, out_dir / "kspace.dseq")
+    write_sequence(recon, out_dir / "recon.dseq")
     artifacts = ["truth.dseq", "mask.mask", "kspace.dseq", "recon.dseq"]
     if series is not None:
         _write_csv(out_dir / "series.csv", ("index", "re", "psnr", "rmse"), series)
         artifacts.append("series.csv")
     if config.export_pgm:
         artifacts.extend(
-            f"frames/{name}" for name in _write_pgm_frames(recon, out_dir / "frames")
+            f"frames/{name}" for name in write_pgm_frames(recon, out_dir / "frames")
         )
 
     manifest = {

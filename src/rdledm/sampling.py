@@ -76,16 +76,13 @@ def as_mask(mask) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _matching(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # A trusted stack and mask, checked to be of one shape.
+def _as_stack_and_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
+    # A validated sequence (or k-space stack) and mask of one shape.
+    x = as_sequence(x)
+    mask = as_mask(mask)
     if x.shape != mask.shape:
         raise DimensionError(f"stack shape {x.shape} != mask shape {mask.shape}")
     return x, mask
-
-
-def _as_stack_and_mask(x, mask) -> tuple[np.ndarray, np.ndarray]:
-    # A validated sequence (or k-space stack) and mask of one shape.
-    return _matching(as_sequence(x), as_mask(mask))
 
 
 def achieved_ratio(mask) -> float:
@@ -289,27 +286,33 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     Noise with standard deviation ``sigma`` per real and imaginary part
     is added at every k-space location before the unsampled ones are
     zeroed, so the retained measurements are genuinely noisy.
-    ``sigma=0`` reproduces the noiseless masked spectrum exactly.
+    ``sigma=0`` reproduces the noiseless masked spectrum exactly. A
+    ``sigma`` so large that a noisy value overflows the float range
+    raises ``ValueError``.
     """
-    return _measure(*_as_stack_and_mask(x, mask), sigma, seed)
-
-
-def _measure(x: np.ndarray, mask: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    # measure for a validated stack and mask of one shape. Each frame's
-    # noise is drawn into one reused buffer, real part first, scaled in
-    # place and added into the real, then the imaginary parts of k.
+    x, mask = _as_stack_and_mask(x, mask)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_seed(seed)
     k = _dft2(x)
     if sigma > 0:
+        # Each frame's noise is drawn into one reused buffer, real part
+        # first, scaled in place and added into the real, then the
+        # imaginary parts of k. An overflow in either step stops the
+        # draw, so the k-space returned is always finite.
         noise = np.empty(x.shape[1:])
-        for t in range(x.shape[0]):
-            rng = _frame_rng(seed, t)
-            for part in (k[t].real, k[t].imag):
-                rng.standard_normal(out=noise)
-                noise *= sigma
-                part += noise
+        try:
+            with np.errstate(over="raise"):
+                for t in range(x.shape[0]):
+                    rng = _frame_rng(seed, t)
+                    for part in (k[t].real, k[t].imag):
+                        rng.standard_normal(out=noise)
+                        noise *= sigma
+                        part += noise
+        except FloatingPointError:
+            raise ValueError(
+                f"sigma {sigma} is too large: the noisy k-space overflows the float range"
+            ) from None
     k *= mask
     return k
 
@@ -333,12 +336,7 @@ def zero_fill(b, mask) -> np.ndarray:
 
 def write_mask(mask, path) -> None:
     """Write a mask to ``path`` in the MASK1 format."""
-    _write_mask(as_mask(mask), path)
-
-
-def _write_mask(mask: np.ndarray, path) -> None:
-    # write_mask for a mask the package made or a strict reader returned.
-    _write_payload(path, MASK_MAGIC, mask)
+    _write_payload(path, MASK_MAGIC, as_mask(mask))
 
 
 def read_mask(path) -> np.ndarray:

@@ -169,11 +169,7 @@ def _parse_dims(line: bytes, path) -> tuple[int, int, int]:
 
 def write_sequence(x, path) -> None:
     """Write a sequence to ``path`` in the DSEQ1 format."""
-    _write_sequence(as_sequence(x), path)
-
-
-def _write_sequence(x: np.ndarray, path) -> None:
-    # write_sequence for a stack the package made or a strict reader returned.
+    x = as_sequence(x)
     _write_payload(path, SEQUENCE_MAGIC, x.astype(_VALUE_DTYPE, copy=False))
 
 

@@ -241,6 +241,15 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             measure(x, np.ones((1, 4, 4), dtype=np.uint8), sigma, seed=0)
 
+    def test_overflowing_noise_rejected(self, rng):
+        # 1e306 noise stays in range; at 1e308 some scaled draws overflow,
+        # and measure raises instead of returning a k-space with Inf.
+        x = random_sequence(rng, 2, 16, 16)
+        mask = np.ones((2, 16, 16), dtype=np.uint8)
+        assert np.isfinite(measure(x, mask, 1e306, seed=1)).all()
+        with pytest.raises(ValueError, match="sigma 1e[+]308 is too large"):
+            measure(x, mask, 1e308, seed=1)
+
     def test_shape_mismatch_rejected(self, rng):
         x = random_sequence(rng, 1, 4, 4)
         with pytest.raises(DimensionError):
