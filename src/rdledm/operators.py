@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._threads import _ONE_BLAS_THREAD
 from .errors import DimensionError, NumericalError
 from .sequence import _largest_part, _rescaled, as_sequence, casorati
 
@@ -106,8 +107,10 @@ def tv_seminorm(x) -> float:
 
 def nuclear_norm(x) -> float:
     """Sum of singular values of the Casorati matrix of ``x``."""
+    matrix = casorati(x)
     try:
-        values = np.linalg.svd(casorati(x), compute_uv=False)
+        with _ONE_BLAS_THREAD:
+            values = np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed while computing the nuclear norm") from exc
     return float(values.sum())
@@ -275,7 +278,9 @@ def svt(x, threshold: float) -> np.ndarray:
     """
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    return _svt(as_sequence(x), threshold)
+    x = as_sequence(x)
+    with _ONE_BLAS_THREAD:
+        return _svt(x, threshold)
 
 
 def _shrink_to_unit_disc(z: np.ndarray, moduli: np.ndarray | None = None) -> None:

@@ -12,7 +12,10 @@ noise realization depends only on (seed, t) through a dedicated PCG64
 substream, never on how many frames were drawn before it. A static mask
 draws frame 0 only, and one path repeats it for every pattern; the
 radial spoke search builds each spoke count it tries once, rasterising
-the spokes of every frame together into one flat mask.
+the spokes of every frame together into one flat mask. ``measure``,
+``forward_op`` and ``adjoint_op`` run on blocks of frames, one block per
+worker (see ``_threads._FrameBlocks``), each writing only its own frames
+of one output stack, so their bytes do not depend on the worker count.
 
 Mask files ("MASK1") mirror the sequence format: magic b"MASK1\\n", an
 ASCII "T m n" header line, then exactly T*m*n payload bytes, each 0 or 1.
@@ -25,6 +28,7 @@ import math
 
 import numpy as np
 
+from ._threads import _FrameBlocks
 from .errors import DimensionError, FileFormatError, InfeasibleRatioError
 from .operators import _dft2, _idft2
 from .sequence import _read_payload, _write_payload, as_sequence
@@ -294,39 +298,69 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_seed(seed)
-    k = _dft2(x)
-    if sigma > 0:
-        # Each frame's noise is drawn into one reused buffer, real part
-        # first, scaled in place and added into the real, then the
-        # imaginary parts of k. An overflow in either step stops the
-        # draw, so the k-space returned is always finite.
-        noise = np.empty(x.shape[1:])
-        try:
+    k = np.empty(x.shape, dtype=np.complex128)
+
+    def acquire(block: slice) -> None:
+        # The frames of one block: their DFT into k, the noise of each
+        # frame from its own stream, then the mask product. Each frame's
+        # noise is drawn into one reused buffer, real part first, scaled
+        # in place and added into the real, then the imaginary parts of k.
+        # An overflow in either step stops the draw, so the k-space
+        # returned is always finite.
+        _dft2(x[block], out=k[block])
+        if sigma > 0:
+            noise = np.empty(x.shape[1:])
             with np.errstate(over="raise"):
-                for t in range(x.shape[0]):
+                for t in range(block.start, block.stop):
                     rng = _frame_rng(seed, t)
                     for part in (k[t].real, k[t].imag):
                         rng.standard_normal(out=noise)
                         noise *= sigma
                         part += noise
-        except FloatingPointError:
-            raise ValueError(
-                f"sigma {sigma} is too large: the noisy k-space overflows the float range"
-            ) from None
-    k *= mask
+        k[block] *= mask[block]
+
+    try:
+        with _FrameBlocks(x.shape) as blocks:
+            blocks.split(acquire, len(x))
+    except FloatingPointError:
+        raise ValueError(
+            f"sigma {sigma} is too large: the noisy k-space overflows the float range"
+        ) from None
     return k
+
+
+def _forward(x: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out <- F x * mask, the product in place; out is a C-contiguous stack
+    # (or a frame block of one).
+    _dft2(x, out=out)
+    out *= mask
+    return out
+
+
+def _adjoint(b: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out <- F^H (b * mask), the inverse DFT in place; out is a C-contiguous
+    # stack (or a frame block of one), and may be b itself.
+    np.multiply(b, mask, out=out)
+    _idft2(out, out=out)
+    return out
+
+
+def _frame_parallel(kernel, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # kernel(x, mask, out) on the frame blocks of a new C-order stack out.
+    out = np.empty(x.shape, dtype=np.complex128)
+    with _FrameBlocks(x.shape) as blocks:
+        blocks.run(kernel, x, mask, out)
+    return out
 
 
 def forward_op(x, mask) -> np.ndarray:
     """Masked unitary DFT: the acquisition operator without noise."""
-    x, mask = _as_stack_and_mask(x, mask)
-    return _dft2(x) * mask
+    return _frame_parallel(_forward, *_as_stack_and_mask(x, mask))
 
 
 def adjoint_op(b, mask) -> np.ndarray:
     """Adjoint of :func:`forward_op`: re-mask, then inverse DFT."""
-    b, mask = _as_stack_and_mask(b, mask)
-    return _idft2(b * mask)
+    return _frame_parallel(_adjoint, *_as_stack_and_mask(b, mask))
 
 
 def zero_fill(b, mask) -> np.ndarray:

@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from ._threads import _ONE_BLAS_THREAD
 from .errors import (
     BadMagicError,
     DimensionError,
@@ -97,7 +98,7 @@ def frobenius_norm(x) -> float:
     scaled back. A norm beyond the float range is ``inf``.
     """
     x = as_sequence(x)
-    with np.errstate(over="ignore"):
+    with _ONE_BLAS_THREAD, np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x.ravel()))
         if math.isinf(norm) or norm < _TINY_NORM:
             largest = _largest_part(x)
@@ -114,7 +115,8 @@ def inner_product(a, b) -> complex:
     and equals ``frobenius_norm(x) ** 2``.
     """
     a, b = _as_pair(a, b)
-    return complex(np.vdot(a, b))
+    with _ONE_BLAS_THREAD:
+        return complex(np.vdot(a, b))
 
 
 def casorati(x) -> np.ndarray:

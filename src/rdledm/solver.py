@@ -22,19 +22,16 @@ is t1/(1+t1) with no operator-norm estimation.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import numbers
-import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._threads import _ONE_BLAS_THREAD, _FrameBlocks
 from .errors import CallbackError, DimensionError, DivergenceError
 from .metrics import _psnr_rmse, _reference
 from .operators import (
@@ -46,7 +43,7 @@ from .operators import (
     _shrink_to_unit_disc,
     _svt,
 )
-from .sampling import _as_stack_and_mask
+from .sampling import _adjoint, _as_stack_and_mask
 from .sequence import _as_pair, _largest_part, _rescaled
 
 # Spectral norm of the measurement operator (unitary DFT composed with a
@@ -63,8 +60,10 @@ class SolverConfig:
     All defaults are tunables chosen for unit-normalized data, not
     physical constants. The coupling term tau*(x' + eps) enters the
     x-update additively with no compensating renormalization, so it is
-    mildly expansive: tau well below 1e-1 keeps long runs stable, and
-    larger values trade stability for coupling strength.
+    mildly expansive, and long runs can drift even at the default tau:
+    a 64x64x8 random2d rdledm_solve (25 % mask, sigma 0.05) peaks at
+    22.03 dB PSNR at iteration 1503 and falls to 12.85 dB by iteration
+    3000. Larger values trade stability for coupling strength.
     ``epsilon_threshold=None`` resolves to ``1/(2*tau)``, the exact
     proximal threshold of the error subproblem (infinite when
     ``tau == 0``, freezing the error term at zero).
@@ -186,80 +185,6 @@ def relative_error(x_next, x_prev) -> float:
                                _squared_norm(x_prev))
 
 
-# NumPy's bundled OpenBLAS exports its thread-count calls under one of
-# these (get, set) name pairs; MKL and Accelerate builds export none.
-_BLAS_THREAD_CALLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _blas_thread_calls():
-    """(get, set) of the BLAS thread count NumPy uses, or None."""
-    return _find_blas_thread_calls(_BLAS_THREAD_CALLS)
-
-
-@functools.cache
-def _find_blas_thread_calls(names):
-    # Looked up once per process (and per names tuple, so replacing
-    # _BLAS_THREAD_CALLS takes effect). Symbols looked up through NumPy's
-    # core extension are found in the BLAS library it links.
-    try:
-        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (OSError, AttributeError):
-        return None
-    for get_name, set_name in names:
-        get = getattr(library, get_name, None)
-        set_ = getattr(library, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Holds NumPy's BLAS at one thread while a solve or relative_error runs.
-
-    A solve's only BLAS calls are the SVT products, the dense row
-    products and the squared norms. At these sizes threads make them no
-    faster, and after a threaded call OpenBLAS's workers keep spinning on
-    the other cores, which the frame blocks need. One thread also makes
-    the dot products behind the relative error, the solve's series and
-    the public call alike, independent of the host's BLAS thread count.
-
-    The count belongs to the process, so holders overlapping in several
-    threads share one hold: the first to enter saves the count and sets 1,
-    the last to leave restores it, on every exit path. Where the BLAS
-    exports no thread-count call this does nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._restore = None
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._holders == 0:
-                calls = _blas_thread_calls()
-                if calls is not None:
-                    get, set_ = calls
-                    self._restore = functools.partial(set_, get())
-                    set_(1)
-            self._holders += 1
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0 and self._restore is not None:
-                self._restore()
-                self._restore = None
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
 # NumPy's error state for a solve: a diverging one overflows, and makes
 # NaN from inf - inf or inf * 0, before the loop's checks raise
 # DivergenceError.
@@ -270,81 +195,6 @@ _LOOP_ERRORS = {"over": "ignore", "invalid": "ignore"}
 # Nothing reads its value.
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
-
-# Frame blocks get a thread only from 2**17 voxels per worker on. Measured
-# on 2 cores (baseline solve, ms/iter on one worker against two): 64x64x8
-# 3.35/3.84 and 160x160x8 28.2/29.1 lose on two, 128x128x8 and 128x128x16
-# tie, 192x192x8 41.8/28.6 and 128x128x20 45.6/30.6 win.
-_VOXELS_PER_WORKER = 2**17
-
-
-def _worker_count(frames: int, rows: int, cols: int) -> int:
-    # One worker per core this process may run on (every core where the
-    # platform cannot tell), but never more workers than frames, nor one
-    # for fewer than _VOXELS_PER_WORKER voxels.
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, frames, frames * rows * cols // _VOXELS_PER_WORKER))
-
-
-class _FrameBlocks:
-    """Runs a kernel on contiguous parts of an axis, one part per worker.
-
-    :meth:`split` runs a kernel on one contiguous part of ``range(count)``
-    per worker (none empty); the calling thread runs the first part and
-    pool threads the rest. The parts for a count are cut the first time
-    it is split and kept for the rest of the solve. :meth:`run` splits
-    the frame axis of the stacks it is given; the SVT splits its pixel
-    tiles. Every kernel writes each entry of its part from that part's
-    inputs alone, and the cut does not change what a frame or a tile
-    computes, so results are bit-identical for any worker count. On one
-    worker there is no pool; otherwise it lives only as long as the
-    ``with`` block of one solve.
-    """
-
-    def __init__(self, shape: tuple[int, int, int]):
-        self._frames = shape[0]
-        self._workers = _worker_count(*shape)
-        self._parts = {}
-        self._pool = None
-        if self._workers > 1:
-            # Imported here: a process that never runs a pool (most CLI
-            # commands, small solves) does not load the thread-pool
-            # modules, about 0.6 MB resident.
-            from concurrent.futures import ThreadPoolExecutor
-
-            # np.errstate is per thread: the workers take the solve's.
-            self._pool = ThreadPoolExecutor(
-                self._workers - 1, initializer=functools.partial(np.seterr, **_LOOP_ERRORS))
-
-    def __enter__(self) -> "_FrameBlocks":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def _cut(self, count: int) -> tuple[slice, list[slice]]:
-        edges = [count * w // self._workers for w in range(self._workers + 1)]
-        first, *rest = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        return first, rest
-
-    def split(self, kernel, count: int) -> None:
-        # Called on the calling thread only, so the cache needs no lock.
-        if count not in self._parts:
-            self._parts[count] = self._cut(count)
-        first, rest = self._parts[count]
-        jobs = [self._pool.submit(kernel, part) for part in rest]
-        kernel(first)
-        for job in jobs:
-            job.result()
-
-    def run(self, kernel, *stacks: np.ndarray, **params) -> None:
-        # Stacks are cut into frame blocks; keyword parameters go to every block.
-        self.split(lambda block: kernel(*(stack[block] for stack in stacks), **params),
-                   self._frames)
 
 
 def _grad_adjoint(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -477,7 +327,7 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     dual_step = config.t2 * config.lambda1
 
     # adjoint_op(data, mask): the zero-filled image F^H M b, the first x.
-    x = _idft2(data * mask)
+    x = _adjoint(data, mask, np.empty(data.shape, dtype=np.complex128))
     # The primal kernel's operands after x, p, q, transport and its
     # output: the dense path's row operator and step * F^H M b, or, for
     # the 2-D pair, the uint8 mask (as in forward_op and adjoint_op) and
@@ -493,10 +343,11 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
     if error_split:
         # x' starts at the zero-filled image, and eps is _ZERO for as long
         # as the eps SVT returns exactly zero, so the loop can test `eps is
-        # _ZERO`; eps_out holds eps otherwise. The full model also keeps
-        # the scaled transport tv_step * grad_adjoint(y), which its x' step
-        # reads.
-        x_prime, eps, eps_out = x.copy(), _ZERO, np.empty_like(x)
+        # _ZERO`. eps_out, the eps SVT's output, is None until that SVT
+        # first returns a nonzero eps, and then holds eps's stack. The full
+        # model also keeps the scaled transport tv_step * grad_adjoint(y),
+        # which its x' step reads.
+        x_prime, eps, eps_out = x.copy(), _ZERO, None
         transport = np.empty_like(x)
     # The dual field y = (p, q), both padded to (T, m, n) (see
     # _dual_block); final_state.y has the public shapes.
@@ -565,6 +416,8 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                     x_prime = _svt(x_bar, svt_threshold, out=x_prime, split=blocks.split)
                     np.subtract(x_next, x_prime, out=x_bar)
                     eps = _svt(x_bar, eps_threshold, _ZERO, out=eps_out, split=blocks.split)
+                    if eps is not _ZERO:
+                        eps_out = eps
                     dual_stacks += (x_prime,)
                 blocks.run(_dual_block, *dual_stacks, step=dual_step)
 
@@ -598,16 +451,13 @@ def _primal_dual_solve(data, mask, config, error_split, reference, on_iteration)
                                   iteration=n) from None
 
     if not error_split:
-        # The baseline's final x' is the zero-filled image and its eps is
-        # zero, as at the start of the loop; both are formed in buffers the
-        # loop has done with.
-        x_prime = _idft2(np.multiply(data, mask, out=x_bar), out=x_bar)
+        # The baseline's final x' is the zero-filled image, as at the start
+        # of the loop, formed in a buffer the loop has done with.
+        x_prime = _adjoint(data, mask, x_bar)
+    if not error_split or eps is _ZERO:
+        # final_state.eps is a zero stack, written into the spare iterate,
+        # which holds the dead previous x.
         eps = x_spare
-        eps.fill(0.0)
-    elif eps is _ZERO:
-        # final_state.eps is a zero stack; eps_out may have served as the
-        # eps SVT's scratch.
-        eps = eps_out
         eps.fill(0.0)
     return SolveReport(
         reconstruction=x,

@@ -23,11 +23,11 @@ from rdledm.experiment import (
     run_sweep,
     write_pgm_frames,
 )
-from rdledm.sampling import read_mask
+from rdledm.sampling import read_mask, write_mask
 from rdledm.sequence import read_sequence, write_sequence
 from rdledm.solver import SolverConfig
 
-from conftest import random_sequence
+from conftest import late_noise_overflow, random_sequence
 
 
 def config_doc(out_dir, **sections):
@@ -594,6 +594,22 @@ class TestExitCodes:
         assert all(line.startswith("error: sigma 1e+308 is too large") for line in err)
         assert not out.exists()
         assert not any((tmp_path / "run").iterdir())
+
+    def test_overflow_in_a_pool_block_exits_2(self, tmp_path, capsys, workers):
+        # The overflowing draw is made on a pool thread: still one error
+        # line, no traceback, and nothing written.
+        sigma, seed = late_noise_overflow()
+        seq, mask, out = tmp_path / "z.dseq", tmp_path / "m.mask", tmp_path / "k.dseq"
+        write_sequence(np.zeros((4, 16, 16), dtype=complex), seq)
+        write_mask(np.ones((4, 16, 16), dtype=np.uint8), mask)
+        workers(2)
+        assert main(["measure", "--seq", str(seq), "--mask", str(mask), "--sigma",
+                     repr(sigma), "--seed", str(seed), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: sigma {sigma} is too large")
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_huge_header_exits_4(self, tmp_path, capsys):
         # 27 bytes whose header claims a 1.6e18-byte payload

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rdledm.errors import DimensionError
+from rdledm.errors import DimensionError, NumericalError
 from rdledm import operators
 from rdledm.operators import (
     DualField,
@@ -543,3 +543,52 @@ class TestInputsUnchanged:
             call()
             for before, after in zip(kept, (x, y.p, y.q, mask)):
                 assert np.array_equal(before, after)
+
+
+class TestBlasThreadBudget:
+    """The public linear algebra runs BLAS on one thread, whatever the host's count."""
+
+    CALLS = {
+        "svt": lambda a, b: svt(a, 30.0),
+        "nuclear_norm": lambda a, b: nuclear_norm(a),
+        "inner_product": inner_product,
+        "frobenius_norm": lambda a, b: frobenius_norm(a),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_bytes_do_not_depend_on_blas_threads(self, blas_threads, call):
+        # On these shapes a threaded BLAS sums the norms, the dot product
+        # and the SVD in another order than one thread does.
+        get, set_ = blas_threads
+        gen = np.random.default_rng(7)
+        pairs = [(random_sequence(gen, *shape), random_sequence(gen, *shape))
+                 for shape in ((8, 64, 64), (20, 128, 128), (5, 100, 100))]
+        results = []
+        for threads in (1, 2):
+            set_(threads)
+            results.append([np.asarray(self.CALLS[call](a, b)).tobytes() for a, b in pairs])
+            assert get() == threads
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("call,module,name", [
+        ("svt", np.linalg, "eigh"),
+        ("nuclear_norm", np.linalg, "svd"),
+        ("inner_product", np, "vdot"),
+        ("frobenius_norm", np.linalg, "norm"),
+    ], ids=["svt", "nuclear_norm", "inner_product", "frobenius_norm"])
+    def test_count_restored_when_raising(self, monkeypatch, blas_threads, call, module, name):
+        get, set_ = blas_threads
+        set_(2)
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(module, name, failing)
+        # ||a||_F is about 226, so the SVT forms its Gram
+        a = random_sequence(np.random.default_rng(3), 4, 8, 8, scale=10.0)
+        with pytest.raises((np.linalg.LinAlgError, NumericalError)):
+            self.CALLS[call](a, a)
+        assert seen == [1]
+        assert get() == 2

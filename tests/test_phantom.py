@@ -20,6 +20,14 @@ def single_ellipse_spec(ellipse, rows=64, cols=64, frames=8):
 
 
 class TestRendering:
+    def test_worker_count_changes_no_byte(self, workers):
+        spec = PhantomSpec(rows=37, cols=50, frames=5)
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            results.append(generate_phantom(spec).tobytes())
+        assert results[0] == results[1] == results[2]
+
     def test_shape_and_dtype(self):
         x = generate_phantom(PhantomSpec(rows=32, cols=48, frames=5))
         assert x.shape == (5, 32, 48)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdledm import operators, sampling
+from rdledm import _threads, operators, sampling
 from rdledm.errors import (
     BadMagicError,
     DimensionError,
@@ -31,7 +31,7 @@ from rdledm.sampling import (
 )
 from rdledm.sequence import inner_product
 
-from conftest import random_sequence
+from conftest import late_noise_overflow, random_sequence
 
 
 class TestValidation:
@@ -509,3 +509,73 @@ class TestRadialRaster:
                 tracemalloc.stop()
             assert abs(achieved_ratio(mask) - 0.9) <= 0.02
             assert peak <= np.empty(shape, dtype=np.complex128).nbytes, shape
+
+
+class TestFrameParallel:
+    """The acquisition path writes the same bytes on any number of workers."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        # every count a _FrameBlocks cuts into parts
+        cut, counts = _threads._FrameBlocks._cut, []
+
+        def counting(self, count):
+            counts.append(count)
+            return cut(self, count)
+
+        monkeypatch.setattr(_threads._FrameBlocks, "_cut", counting)
+        return counts
+
+    CALLS = {
+        "measure-0": lambda x, m: measure(x, m, 0.0, seed=23),
+        "measure-0.05": lambda x, m: measure(x, m, 0.05, seed=23),
+        "forward_op": forward_op,
+        "adjoint_op": adjoint_op,
+        "zero_fill": zero_fill,
+    }
+
+    @pytest.mark.parametrize("layout", ["c-order", "strided"])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_operators(self, workers, splits, call, layout):
+        # 5 frames: one block; blocks of 2 and 3; blocks of 1, 2 and 2. A
+        # strided input (columns reversed in memory) gives the bytes of its
+        # C-order copy.
+        x = pinned_sequence()
+        mask = make_mask("radial", 5, 37, 50, 0.3, seed=17)
+        expected = self.CALLS[call](x, mask).tobytes()
+        if layout == "strided":
+            x = np.ascontiguousarray(x[:, :, ::-1])[:, :, ::-1]
+            assert not x.flags.c_contiguous
+        splits.clear()
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            results.append(self.CALLS[call](x, mask).tobytes())
+        assert results == [expected] * 3
+        assert splits == [5, 5, 5]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_pinned_bytes(self, workers, count):
+        # measure, and the radial masks, static and per frame
+        workers(count)
+        mask = make_mask("radial", 5, 37, 50, 0.3, seed=17)
+        for sigma, digest in PINNED_MEASURE.items():
+            assert sha256(measure(pinned_sequence(), mask, sigma, seed=23)) == digest, sigma
+        for (pattern, ratio, static), digest in PINNED_MASKS.items():
+            if pattern == "radial":
+                mask = make_mask("radial", 5, 37, 50, ratio, seed=17, static=static)
+                assert sha256(mask) == digest, (ratio, static)
+        for (frames, rows, cols, static), digest in PINNED_RADIAL.items():
+            mask = make_mask("radial", frames, rows, cols, 0.25, seed=17, static=static)
+            assert sha256(mask) == digest, (frames, static)
+
+    def test_overflow_in_a_pool_block_raises(self, workers):
+        # on two workers the overflowing draw is made on the pool thread
+        sigma, seed = late_noise_overflow()
+        x = np.zeros((4, 16, 16), dtype=complex)
+        mask = np.ones((4, 16, 16), dtype=np.uint8)
+        assert np.isfinite(measure(x[:2], mask[:2], sigma, seed=seed)).all()
+        for count in (1, 2):
+            workers(count)
+            with pytest.raises(ValueError, match="is too large"):
+                measure(x, mask, sigma, seed=seed)

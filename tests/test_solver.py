@@ -19,7 +19,7 @@ from rdledm.experiment import load_experiment_config
 from rdledm.phantom import PRESET_SIZES, PhantomSpec, generate_phantom, phantom_preset
 from rdledm.sampling import make_mask, measure, zero_fill
 from rdledm.metrics import psnr, rmse
-from rdledm import solver
+from rdledm import _threads, solver
 from rdledm.solver import (
     SolverConfig,
     baseline_tvnn_solve,
@@ -68,11 +68,11 @@ def run_config(**overrides):
     return SolverConfig(**base)
 
 
-def assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides):
+def assert_worker_counts_agree(workers, solve, data, mask, overrides):
     # every state byte and the RE series on 1 and on 3 workers
     results = []
-    for workers in (1, 3):
-        monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+    for count in (1, 3):
+        workers(count)
         report = solve(data, mask, run_config(max_iters=40, **overrides))
         state = report.final_state
         results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
@@ -327,12 +327,12 @@ class TestSolveMechanics:
 
 class TestFrameBlocks:
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
-    def test_block_split_does_not_change_results(self, small_problem, monkeypatch, solve):
+    def test_block_split_does_not_change_results(self, small_problem, workers, solve):
         # 4 frames: one block; blocks of 2 and 2; blocks of 1, 1 and 2
         truth, mask, data = small_problem
         reports = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+        for count in (1, 2, 3):
+            workers(count)
             reports.append(solve(data, mask, run_config(max_iters=12), reference=truth))
         one, *split = reports
         for other in split:
@@ -345,12 +345,12 @@ class TestFrameBlocks:
         (rdledm_solve, {}),
         (rdledm_solve, EPS_SWITCHES_ON),
     ])
-    def test_block_split_is_byte_identical(self, small_problem, monkeypatch, solve, overrides):
+    def test_block_split_is_byte_identical(self, small_problem, workers, solve, overrides):
         # both block kernels finish sums in place; signed zeros must not move
         _, mask, data = small_problem
         results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+        for count in (1, 2, 3):
+            workers(count)
             report = solve(data, mask, run_config(max_iters=40, **overrides))
             state = report.final_state
             results.append((report.reconstruction.tobytes(), state.x_prime.tobytes(),
@@ -363,7 +363,7 @@ class TestFrameBlocks:
         (rdledm_solve, {}),
         (rdledm_solve, EPS_SWITCHES_ON),
     ])
-    def test_several_tiles_are_byte_identical(self, tiled_problem, monkeypatch, solve,
+    def test_several_tiles_are_byte_identical(self, tiled_problem, workers, solve,
                                               overrides):
         # the pool also forms partial Grams and rebuilds by groups of tiles:
         # 3 tiles as one group, 1 + 2 and 1 + 1 + 1. Three workers on fewer
@@ -374,8 +374,8 @@ class TestFrameBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(solver, "_worker_count", lambda *_, w=workers: w)
+            for count in (1, 2, 3):
+                workers(count)
                 report = solve(data, mask, run_config(max_iters=40, **overrides))
                 state = report.final_state
                 assert state.y.p.shape == (5, 99, 100) and state.y.q.shape == (5, 100, 99)
@@ -392,64 +392,87 @@ class TestFrameBlocks:
         (baseline_tvnn_solve, {}),
         (rdledm_solve, EPS_SWITCHES_ON),
     ])
-    def test_dense_path_is_byte_identical(self, tiled_cartesian_problem, monkeypatch,
+    def test_dense_path_is_byte_identical(self, tiled_cartesian_problem, workers,
                                           solve, overrides):
         # one dense row product per frame, whichever block holds the frame
         _, mask, data = tiled_cartesian_problem
         assert solver._dense_fidelity(mask)
-        assert_worker_counts_agree(monkeypatch, solve, data, mask, overrides)
+        assert_worker_counts_agree(workers, solve, data, mask, overrides)
 
-    def test_parts_are_cut_once_per_count(self, tiled_problem, monkeypatch):
+    def test_parts_are_cut_once_per_count(self, tiled_problem, monkeypatch, workers):
         # the frame count and the SVT's tile count, each cut the first
         # time it is split, however many kernels a solve then splits
         _, mask, data = tiled_problem
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
-        cut, counts = solver._FrameBlocks._cut, []
+        workers(2)
+        cut, counts = _threads._FrameBlocks._cut, []
 
         def counting(self, count):
             counts.append(count)
             return cut(self, count)
 
-        monkeypatch.setattr(solver._FrameBlocks, "_cut", counting)
+        monkeypatch.setattr(_threads._FrameBlocks, "_cut", counting)
         rdledm_solve(data, mask, run_config(max_iters=5, **EPS_SWITCHES_ON))
         assert sorted(counts) == [3, 5]
 
     def test_worker_rule(self, monkeypatch):
         # a thread per block only from 2**17 voxels per worker on
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert solver._worker_count(8, 64, 64) == 1
-        assert solver._worker_count(20, 128, 128) == 2
-        assert solver._worker_count(8, 128, 128) == 1
-        assert solver._worker_count(8, 192, 192) == 2
-        assert solver._worker_count(1, 512, 512) == 1
-        with solver._FrameBlocks((8, 64, 64)) as blocks:
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _threads._worker_count(8, 64, 64) == 1
+        assert _threads._worker_count(20, 128, 128) == 2
+        assert _threads._worker_count(8, 128, 128) == 1
+        assert _threads._worker_count(8, 192, 192) == 2
+        assert _threads._worker_count(1, 512, 512) == 1
+        with _threads._FrameBlocks((8, 64, 64)) as blocks:
             assert blocks._pool is None
 
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
-    @pytest.mark.parametrize("problem,workers", [("small_problem", 1),
-                                                 ("tiled_problem", 1),
-                                                 ("tiled_problem", 2)])
-    def test_first_re_is_the_public_relative_error(self, request, monkeypatch, solve,
-                                                   problem, workers):
+    @pytest.mark.parametrize("problem,count", [("small_problem", 1),
+                                               ("tiled_problem", 1),
+                                               ("tiled_problem", 2)])
+    def test_first_re_is_the_public_relative_error(self, request, workers, solve,
+                                                   problem, count):
         # the solve's first ||x||^2 is summed per frame like every later one
         _, mask, data = request.getfixturevalue(problem)
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
+        workers(count)
         report = solve(data, mask, run_config(max_iters=1))
         expected = relative_error(report.reconstruction, zero_fill(data, mask))
         assert report.re_series == (expected,)
 
-    def test_one_worker_imports_no_pool(self):
-        # a solve small enough for one worker leaves concurrent.futures
-        # unloaded, and no solve loads scipy (installed, but not declared)
+    def test_one_worker_imports_no_pool(self, tmp_path):
+        # a solve small enough for one worker, and a CLI chain at 8x64x64
+        # (phantom, the three masks, measure, a reconstruction with PGM
+        # export, export), leave concurrent.futures unloaded, and no solve
+        # loads scipy (installed, but not declared)
         code = (
-            "import sys, numpy as np\n"
+            "import contextlib, io, json, pathlib, sys, numpy as np\n"
+            "from rdledm.cli import main\n"
             "from rdledm.solver import SolverConfig, baseline_tvnn_solve\n"
             "data = np.ones((4, 16, 16), complex)\n"
             "baseline_tvnn_solve(data, np.ones((4, 16, 16), bool), SolverConfig(max_iters=3))\n"
+            "work = pathlib.Path(sys.argv[1])\n"
+            "shape = ['--rows', '64', '--cols', '64', '--frames', '8']\n"
+            "config = {'phantom': {'preset': 'cine-like', 'size': 64, 'frames': 8},\n"
+            "          'mask': {'pattern': 'radial', 'ratio': 0.25, 'seed': 1},\n"
+            "          'noise': {'sigma': 0.05, 'seed': 2},\n"
+            "          'solver': {'method': 'rdledm', 'max_iters': 3},\n"
+            "          'output': {'directory': str(work / 'run'), 'export_pgm': True}}\n"
+            "(work / 'config.json').write_text(json.dumps(config))\n"
+            "argvs = [['phantom', '--preset', 'cine-like', '--size', '64', '--frames', '8',\n"
+            "          '--out', str(work / 't.dseq')]]\n"
+            "argvs += [['mask', '--pattern', p, *shape, '--ratio', '0.25',\n"
+            "           '--out', str(work / (p + '.mask'))]\n"
+            "          for p in ('cartesian', 'radial', 'random2d')]\n"
+            "argvs += [['measure', '--seq', str(work / 't.dseq'), '--mask',\n"
+            "           str(work / 'radial.mask'), '--sigma', '0.05', '--out', str(work / 'k.dseq')],\n"
+            "          ['reconstruct', '--config', str(work / 'config.json')],\n"
+            "          ['export', '--seq', str(work / 'run' / 'recon.dseq'),\n"
+            "           '--out-dir', str(work / 'export')]]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert [main(argv) for argv in argvs] == [0] * len(argvs)\n"
             "print('concurrent.futures' in sys.modules, 'scipy' in sys.modules)\n"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, timeout=120, check=True,
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                                capture_output=True, text=True, timeout=120, check=True,
                                 env={**os.environ,
                                      "PYTHONPATH": str(Path(solver.__file__).parents[1])})
         assert result.stdout.strip() == "False False"
@@ -497,8 +520,8 @@ class TestFftAxes:
         (rdledm_solve, {"tau": 0.02, "epsilon_threshold": 0.05}),
         (baseline_tvnn_solve, {}),
     ])
-    def test_dense_path_matches_2d_pair(self, small_problem, monkeypatch, solve,
-                                                 overrides):
+    def test_dense_path_matches_2d_pair(self, small_problem, monkeypatch, workers, solve,
+                                        overrides):
         # The dense row product and the 2-D pair give one operator, so the
         # paths differ by round-off only (at most 2.1e-13 relative, in the
         # RE series). Each kernel also checks its data operand in each of
@@ -511,7 +534,7 @@ class TestFftAxes:
         step = config.t1 / (1.0 + config.t1)
         zero_filled = zero_fill(data, mask)
         assert solver._dense_fidelity(mask)
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        workers(1)
         handed = []
 
         def spying(kernel, image):
@@ -552,20 +575,25 @@ class TestWorkingSet:
     # made before tracing starts. Every solve holds x, p, q and two loop
     # buffers (x_bar, which ends as the lookahead, and the spare iterate,
     # which the baseline's transport shares); the dense path adds its row
-    # operator and step * F^H M b; the error split adds x', the transport
-    # and eps. The projections take their moduli in the dead lookahead.
-    # What is left is NumPy's 128 KB cast buffer for the uint8 mask and the
-    # SVT's partial Grams. Each bound is the measured peak plus a quarter
-    # stack.
+    # operator and step * F^H M b; the error split adds x' and the
+    # transport, and eps only once its SVT first returns a nonzero eps (a
+    # still-zero eps at the end is written into the spare iterate). The
+    # projections take their moduli in the dead lookahead. What is left is
+    # NumPy's 128 KB cast buffer for the uint8 mask and the SVT's partial
+    # Grams. Each bound is the measured peak plus a quarter stack. A
+    # case's overrides may set max_iters (2 otherwise).
     CASES = {
         "radial-baseline": ("radial", (20, 128, 128), baseline_tvnn_solve, {}, 5.28),
-        "radial-rdledm": ("radial", (20, 128, 128), rdledm_solve, {}, 8.28),
+        "radial-rdledm": ("radial", (20, 128, 128), rdledm_solve, {}, 7.28),
         "cartesian-baseline": ("cartesian", (8, 64, 64), baseline_tvnn_solve, {}, 7.51),
-        "cartesian-rdledm": ("cartesian", (8, 64, 64), rdledm_solve, {}, 10.28),
+        "cartesian-rdledm": ("cartesian", (8, 64, 64), rdledm_solve, {}, 9.28),
         # the projections rescale in both iterations: the factors are
         # formed in the moduli buffer too
         "radial-baseline-rescaled": ("radial", (20, 128, 128), baseline_tvnn_solve,
                                      {"lambda1": 50.0}, 5.28),
+        # eps turns nonzero within 40 iterations and then holds a stack
+        "cartesian-rdledm-eps": ("cartesian", (8, 64, 64), rdledm_solve,
+                                 {**EPS_SWITCHES_ON, "max_iters": 40}, 10.31),
     }
 
     @pytest.fixture(scope="class")
@@ -580,28 +608,30 @@ class TestWorkingSet:
 
     # On two workers the bound of one worker must hold too: a block of the
     # dual kernel takes its moduli in its own part of the lookahead.
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_peak_in_stacks(self, monkeypatch, problems, case, workers):
+    def test_peak_in_stacks(self, workers, problems, case, count):
         pattern, shape, solve, overrides, stacks = self.CASES[case]
         mask, data = problems[pattern]
         assert solver._dense_fidelity(mask) == (pattern == "cartesian")
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
-        config = run_config(max_iters=2, **overrides)
+        workers(count)
+        config = run_config(**{"max_iters": 2, **overrides})
         # Run once untraced: the thread-pool modules, imported by the first
         # solve on two workers, are not part of a solve's working set.
         solve(data, mask, config)
         tracemalloc.start()
         try:
-            solve(data, mask, config)
+            report = solve(data, mask, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        eps_on = overrides.get("epsilon_threshold") is not None
+        assert (np.count_nonzero(report.final_state.eps) > 0) == eps_on
         assert peak <= stacks * np.empty(shape, dtype=np.complex128).nbytes
 
-    def test_rescaled_case_rescales_in_both_iterations(self, monkeypatch, problems):
+    def test_rescaled_case_rescales_in_both_iterations(self, monkeypatch, workers, problems):
         mask, data = problems["radial"]
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: 1)
+        workers(1)
         original = solver._shrink_to_unit_disc
         outside = []
 
@@ -613,18 +643,6 @@ class TestWorkingSet:
         baseline_tvnn_solve(data, mask, run_config(max_iters=2, lambda1=50.0))
         # p and q in each of the two iterations
         assert outside == [True] * 4
-
-
-@pytest.fixture
-def blas_threads():
-    # (get, set) of NumPy's BLAS thread count; the count is restored after
-    calls = solver._blas_thread_calls()
-    if calls is None:
-        pytest.skip("NumPy's BLAS exports no thread-count call")
-    get, set_ = calls
-    before = get()
-    yield get, set_
-    set_(before)
 
 
 class TestThreadBudget:
@@ -721,8 +739,8 @@ class TestThreadBudget:
         _, mask, data = small_problem
         get, _ = blas_threads
         before = get()
-        monkeypatch.setattr(solver, "_BLAS_THREAD_CALLS", (("no_such_get", "no_such_set"),))
-        assert solver._blas_thread_calls() is None
+        monkeypatch.setattr(_threads, "_BLAS_THREAD_CALLS", (("no_such_get", "no_such_set"),))
+        assert _threads._blas_thread_calls() is None
         seen = []
         report = rdledm_solve(data, mask, run_config(max_iters=3),
                               on_iteration=lambda *_: seen.append(get()))
@@ -740,8 +758,8 @@ class TestThreadBudget:
             return real_cdll(*args, **kwargs)
 
         monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
-        monkeypatch.setattr(solver, "_BLAS_THREAD_CALLS",
-                            solver._BLAS_THREAD_CALLS + (("no_such_get", "no_such_set"),))
+        monkeypatch.setattr(_threads, "_BLAS_THREAD_CALLS",
+                            _threads._BLAS_THREAD_CALLS + (("no_such_get", "no_such_set"),))
         a = np.ones((4, 8, 8), dtype=complex)
         assert [relative_error(2 * a, a) for _ in range(2)] == [1.0, 1.0]
         assert len(loads) == 1
@@ -908,13 +926,13 @@ class TestLoopShortcuts:
 
     @pytest.mark.parametrize("solve", [rdledm_solve, baseline_tvnn_solve])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_in_a_pool_block_diverges(self, tiled_problem, monkeypatch,
+    def test_non_finite_in_a_pool_block_diverges(self, tiled_problem, monkeypatch, workers,
                                                  solve, bad):
         # on two workers the pool thread takes frames 2-4 of x_bar, and the
         # SVT's norms and extremes of those frames find the poison in the
         # last tile
         _, mask, data = tiled_problem
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: 2)
+        workers(2)
         original = solver._grad_adjoint
         pool_calls = []
 
@@ -1066,15 +1084,15 @@ class TestBaselineEquivalence:
         assert np.allclose(report.reconstruction, x, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("problem", ["tiled_problem", "tiled_cartesian_problem"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_final_state(self, request, monkeypatch, problem, workers):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_final_state(self, request, workers, problem, count):
         # x' is the zero-filled image and eps zero, on both fidelity
         # paths; the solve, which reads data and mask in every iteration
         # on the 2-D pair, leaves both as they were.
         _, mask, data = request.getfixturevalue(problem)
         assert solver._dense_fidelity(mask) == (problem == "tiled_cartesian_problem")
         data_bytes, mask_bytes = data.tobytes(), mask.tobytes()
-        monkeypatch.setattr(solver, "_worker_count", lambda *_: workers)
+        workers(count)
         state = baseline_tvnn_solve(data, mask, run_config(max_iters=10)).final_state
         assert state.x_prime.tobytes() == zero_fill(data, mask).tobytes()
         assert state.eps.shape == data.shape
