@@ -329,17 +329,16 @@ def measure(x, mask, sigma: float, seed: int) -> np.ndarray:
     return k
 
 
-def _forward(x: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _forward(x: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
     # out <- F x * mask, the product in place; out is a C-contiguous stack
     # (or a frame block of one).
     _dft2(x, out=out)
     out *= mask
-    return out
 
 
 def _adjoint(b: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
     # out <- F^H (b * mask), the inverse DFT in place; out is a C-contiguous
-    # stack (or a frame block of one), and may be b itself.
+    # stack (or a frame block of one).
     np.multiply(b, mask, out=out)
     _idft2(out, out=out)
     return out
